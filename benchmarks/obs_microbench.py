@@ -19,6 +19,12 @@ the engine run with the recorder off (``flight_recorder=False``) and on
 every gated workload, and passed its own budget when written — so a
 regression snuck in via ``--write`` fails loudly too.
 
+The wall-clock gate cannot see a small change in what the recorder
+writes, so ``--check`` also gates the recorder's cost exactly: the
+number of records the engine ring receives per run (``FlightRing.seq``)
+must equal the recorded ``ring_records`` of each workload. A doubled or
+dropped emit fails it, on any machine.
+
 Usage (from the repo root, ``PYTHONPATH=src``)::
 
     python -m benchmarks.obs_microbench --write   # refresh the baseline
@@ -32,7 +38,7 @@ import json
 import os
 import sys
 import time
-from typing import Dict
+from typing import Dict, Set, Tuple
 
 from repro.core import EngineConfig, ParulelEngine
 from repro.programs import REGISTRY
@@ -58,7 +64,9 @@ WORKLOADS = ("tc", "manners")
 APPEND_PROBE = 100_000
 
 
-def _run_once(workload_name: str, recorder: bool) -> float:
+def _run_once(workload_name: str, recorder: bool) -> Tuple[float, int]:
+    """Wall time of one run, and the records its engine ring received
+    (0 with the recorder off)."""
     workload = REGISTRY[workload_name]()
     engine = ParulelEngine(
         workload.program, EngineConfig(flight_recorder=recorder)
@@ -69,13 +77,16 @@ def _run_once(workload_name: str, recorder: bool) -> float:
         engine.run()
         elapsed = time.perf_counter() - t0
         assert workload.verify_ok(engine.wm)
+        records = engine.flightrec.ring.seq if recorder else 0
     finally:
         engine.close()
-    return elapsed
+    return elapsed, records
 
 
-def _best(workload_name: str, recorder: bool) -> float:
-    return min(_run_once(workload_name, recorder) for _ in range(REPS))
+def _best(workload_name: str, recorder: bool) -> Tuple[float, Set[int]]:
+    """Min-of-N wall time, and the distinct ring-record counts seen."""
+    runs = [_run_once(workload_name, recorder) for _ in range(REPS)]
+    return min(t for t, _ in runs), {n for _, n in runs}
 
 
 def _append_throughput() -> Dict:
@@ -100,28 +111,34 @@ def _append_throughput() -> Dict:
 def measure() -> Dict:
     out: Dict = {"workloads": {}}
     for name in WORKLOADS:
-        off = _best(name, recorder=False)
-        on = _best(name, recorder=True)
+        off, _ = _best(name, recorder=False)
+        on, records = _best(name, recorder=True)
         budget = off * (1 + RELATIVE_BUDGET) + ABSOLUTE_SLACK
         out["workloads"][name] = {
             "off_s": round(off, 4),
             "on_s": round(on, 4),
             "ratio": round(on / off, 3) if off > 0 else 1.0,
             "within_budget": on <= budget,
+            # A deterministic run writes the same records every time; more
+            # than one count is itself a failure (recorded as a list).
+            "ring_records": records.pop() if len(records) == 1 else sorted(records),
         }
     out["append"] = _append_throughput()
     return out
 
 
 def report(current: Dict) -> None:
-    header = f"{'workload':<10} {'off s':>8} {'on s':>8} {'ratio':>7} {'gate':>6}"
+    header = (
+        f"{'workload':<10} {'off s':>8} {'on s':>8} {'ratio':>7} {'gate':>6} "
+        f"{'records':>8}"
+    )
     print(header)
     print("-" * len(header))
     for name, row in current["workloads"].items():
         verdict = "ok" if row["within_budget"] else "FAIL"
         print(
             f"{name:<10} {row['off_s']:>8.4f} {row['on_s']:>8.4f} "
-            f"{row['ratio']:>6.3f}x {verdict:>6}"
+            f"{row['ratio']:>6.3f}x {verdict:>6} {str(row['ring_records']):>8}"
         )
     append = current["append"]
     print(
@@ -151,12 +168,24 @@ def check(current: Dict, baseline: Dict) -> int:
                 f"{name}: recorded baseline itself failed the budget "
                 f"(ratio {base_row.get('ratio')}x) — fix, then --write"
             )
+        else:
+            got = current["workloads"][name]["ring_records"]
+            want = base_row.get("ring_records")
+            if got != want:
+                failures.append(
+                    f"{name}: engine ring received {got} records per run, "
+                    f"recorded {want} — an emit was doubled or dropped "
+                    f"(after an intentional change, --write)"
+                )
     if failures:
         print("\nOBS GATE FAILED:")
         for line in failures:
             print(f"  - {line}")
         return 1
-    print("\nobs gate OK: flight-recorder overhead within budget")
+    print(
+        "\nobs gate OK: flight-recorder overhead within budget, ring "
+        "records per run as recorded"
+    )
     return 0
 
 

@@ -44,6 +44,23 @@ python -m repro.cli analyze --no-hints || {
     exit 1
 }
 
+echo "== one emit point (no sink guards in the engine or the backends)"
+# The engine and the backends emit through repro.obs.emit.Obs, which alone
+# knows which sinks (phase timer, tracer, metrics, flight ring) are
+# attached. Fail when sink guards creep back into their code; the budget
+# is 5 lines in total (0 when the emit point was introduced).
+GUARD_BUDGET=5
+GUARDS="$(grep -nE '\.enabled|flightrec is not None|\bfr is not None|\bif obs\b|if self\._obs\b' \
+    src/repro/core/engine.py \
+    src/repro/parallel/{process,threaded,distributed}.py || true)"
+N_GUARDS="$(printf '%s' "$GUARDS" | grep -c . || true)"
+if (( N_GUARDS > GUARD_BUDGET )); then
+    echo "$N_GUARDS sink guards (budget $GUARD_BUDGET); emit through repro.obs.emit.Obs instead:"
+    echo "$GUARDS"
+    exit 1
+fi
+echo "sink guards: $N_GUARDS (budget $GUARD_BUDGET)"
+
 echo "== observability gate (trace + metrics artifacts validate)"
 OBS_TMP="$(mktemp -d)"
 trap 'rm -rf "$OBS_TMP"' EXIT

@@ -44,18 +44,8 @@ from repro.lang.analysis import analyze_program
 from repro.lang.ast import Program, Value
 from repro.match.instantiation import InstKey, Instantiation
 from repro.match.interface import Matcher, create_matcher
-from repro.metrics.timers import PhaseTimer
-from repro.obs.metrics import NULL_METRICS
-from repro.obs.profile import (
-    MATCH_OPS,
-    REDACTION_SKIPPED,
-    RULE_CANDIDATES,
-    RULE_EVAL_SECONDS,
-    RULE_FIRINGS,
-    RULE_REDACTIONS,
-    SANITIZER_REPLAYS,
-)
-from repro.obs.trace import NULL_TRACER, PhaseSpan
+from repro.obs.emit import Obs
+from repro.obs.flightrec import DEATH_KINDS, FlightRecorder
 from repro.wm.memory import WorkingMemory
 from repro.wm.template import TemplateRegistry
 from repro.wm.wme import WME
@@ -245,11 +235,22 @@ class ParulelEngine:
         analyze_program(program)
         self.program = program
         self.config = config or EngineConfig()
-        #: Observability hooks (:mod:`repro.obs`). Both default to the
-        #: shared no-op singletons; hot paths guard on ``.enabled`` so a
-        #: disabled engine does no observability work at all.
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else NULL_METRICS
+        #: The one observability emit point (:mod:`repro.obs.emit`), shared
+        #: with the match backend: the tracer and metrics registry given
+        #: here (no-op singletons by default) plus the always-on black-box
+        #: flight recorder (``None`` only with ``flight_recorder=False``).
+        self.obs = Obs(
+            tracer,
+            metrics,
+            FlightRecorder(
+                [r.name for r in program.rules],
+                capacity=self.config.flight_capacity,
+            )
+            if self.config.flight_recorder
+            else None,
+        )
+        self.tracer, self.metrics = self.obs.tracer, self.obs.metrics
+        self.flightrec = self.obs.flightrec
         self.wm = wm if wm is not None else _build_wm(self.config, program)
         self.evaluator = ActionEvaluator(host_functions)
         matcher_options: Dict[str, Any] = {}
@@ -263,30 +264,13 @@ class ParulelEngine:
             matcher_options["supervisor"] = self.config.supervisor
         if self.config.assignment is not None:
             matcher_options["assignment"] = self.config.assignment
-        if self.tracer.enabled or self.metrics.enabled:
-            matcher_options["tracer"] = self.tracer
-            matcher_options["metrics"] = self.metrics
-        #: The always-on black-box flight recorder (None only with
-        #: ``flight_recorder=False``). Imported lazily: it is the one
-        #: default-on feature that touches multiprocessing.shared_memory.
-        self.flightrec = None
-        self._fr = None  # the flightrec module (event-kind constants)
-        self._replay_count = 0
-        if self.config.flight_recorder:
-            from repro.obs import flightrec as _fr
-
-            self._fr = _fr
-            self.flightrec = _fr.FlightRecorder(
-                [r.name for r in program.rules],
-                capacity=self.config.flight_capacity,
-            )
-            matcher_options["flightrec"] = self.flightrec
         self.matcher: Matcher = create_matcher(
             self.config.matcher,
             program.rules,
             self.wm,
             indexed=self.config.indexed_match,
             vector_probe=self.config.vector_probe,
+            obs=self.obs,
             **matcher_options,
         )
         self.meta = MetaLevel(
@@ -316,12 +300,8 @@ class ParulelEngine:
             self._commute_index = CommuteIndex(program)
             self._pair_replayer = PairReplayer(
                 dedupe_makes=self.config.dedupe_makes,
-                on_replay=(
-                    self._note_replay if self.flightrec is not None else None
-                ),
+                on_replay=self.obs.replay,
             )
-        #: Last-seen matcher op totals, for per-cycle MATCH_OPS deltas.
-        self._last_match_ops: Counter = Counter()
         self.fired: Set[InstKey] = set()
         #: Append-only mirror of :attr:`fired` in firing order, so
         #: incremental checkpoints (:meth:`checkpoint_delta`) can slice
@@ -329,10 +309,10 @@ class ParulelEngine:
         self._fired_log: List[InstKey] = []
         self.output: List[str] = []
         self.reports: List[CycleReport] = []
-        #: Thread-safe per-phase wall-clock accumulator; the engine's named
-        #: spans are backed by it, and ``phase_times`` is a live view of
-        #: its seconds counter (the historical public shape).
-        self.timer = PhaseTimer()
+        #: Thread-safe per-phase wall-clock accumulator fed by the phase
+        #: spans; ``phase_times`` is a live view of its seconds counter
+        #: (the historical public shape).
+        self.timer = self.obs.timer
         self.phase_times: Counter = self.timer.seconds
         #: All fault/recovery events surfaced by the match backend,
         #: cumulative across the engine's life (per-cycle slices land on
@@ -385,34 +365,28 @@ class ParulelEngine:
     def _step(self) -> Optional[CycleReport]:
         if self.halted or self._redaction_quiescent:
             return None
-        tracer, metrics = self.tracer, self.metrics
-        flightrec = self.flightrec
+        obs = self.obs
         cycle_no = self._cycle + 1
 
-        with self._phase("match", "collect", cycle=cycle_no):
+        with obs.phase("match", "collect", cycle_no):
             all_insts = self.matcher.instantiations()
             candidates = [i for i in all_insts if i.key not in self.fired]
         # The match phase is where backend faults surface (worker kills,
         # respawns, degradations); drain them now so the report for this
-        # cycle carries them even if nothing fires. The backends record
-        # their own trace instants/metrics at injection time.
+        # cycle carries them even if nothing fires. The backends emit
+        # their own fault events at injection time.
         cycle_faults = self._drain_matcher_faults()
-        if flightrec is not None:
-            flightrec.record(
-                self._fr.EV_CHURN, cycle_no, a=len(all_insts), b=len(candidates)
-            )
-            # A worker died (or was declared dead) this cycle: the engine
-            # survives by respawn/degradation, but the post-mortem evidence
-            # is freshest *now* — dump before the ring slides past it.
-            if cycle_faults and any(
-                e.kind in self._fr.DEATH_KINDS for e in cycle_faults
-            ):
-                kinds = ",".join(sorted({e.kind for e in cycle_faults}))
-                self._dump_blackbox(f"worker fault: {kinds}")
+        obs.churn(cycle_no, len(all_insts), len(candidates))
+        # A worker died (or was declared dead) this cycle: the engine
+        # survives by respawn/degradation, but the post-mortem evidence is
+        # freshest *now* — dump before the ring slides past it.
+        if any(e.kind in DEATH_KINDS for e in cycle_faults):
+            kinds = ",".join(sorted({e.kind for e in cycle_faults}))
+            self._dump_blackbox(f"worker fault: {kinds}")
         if not candidates:
             return None
 
-        with self._phase("redact", "redact", cycle=cycle_no, candidates=len(candidates)):
+        with obs.phase("redact", "redact", cycle_no, candidates=len(candidates)):
             self._certified_pairs = set()
             skip = (
                 self._certified_skip(candidates)
@@ -420,19 +394,11 @@ class ParulelEngine:
                 else frozenset()
             )
             survivors, red_report = self.meta.redact(candidates, skip_reify=skip)
-        if flightrec is not None:
-            flightrec.record(
-                self._fr.EV_REDACT,
-                cycle_no,
-                a=len(candidates),
-                b=red_report.redacted,
-            )
+        obs.redact(cycle_no, candidates, survivors, red_report, self.matcher.stats)
         meta_writes = list(self.meta.writes)
         self.output.extend(meta_writes)
 
         self._cycle += 1
-        if metrics.enabled:
-            self._count_cycle(candidates, survivors, red_report)
         if not survivors:
             # Deterministic engine + unchanged WM ⇒ the next cycle would be
             # identical. Record the cycle and stop.
@@ -456,49 +422,25 @@ class ParulelEngine:
 
         # Evaluate every survivor against the pre-firing snapshot.
         deltas: List[InstantiationDelta] = []
-        with self._phase("act", "evaluate", cycle=cycle_no, firing_set=len(survivors)):
-            if metrics.enabled or flightrec is not None:
-                fire_kind = self._fr.EV_FIRE if flightrec is not None else 0
-                for inst in survivors:
-                    self.fired.add(inst.key)
-                    self._fired_log.append(inst.key)
-                    t0 = time.perf_counter_ns()
-                    deltas.append(self.evaluator.evaluate(inst))
-                    dt_ns = time.perf_counter_ns() - t0
-                    if metrics.enabled:
-                        metrics.observe(
-                            RULE_EVAL_SECONDS, dt_ns / 1e9, rule=inst.rule.name
-                        )
-                    if flightrec is not None:
-                        flightrec.record(
-                            fire_kind,
-                            cycle_no,
-                            code=flightrec.rule_id(inst.rule.name),
-                            a=dt_ns,
-                        )
-            else:
-                for inst in survivors:
-                    self.fired.add(inst.key)
-                    self._fired_log.append(inst.key)
-                    deltas.append(self.evaluator.evaluate(inst))
+        with obs.phase("act", "evaluate", cycle_no, firing_set=len(survivors)):
+            perf_ns = time.perf_counter_ns
+            for inst in survivors:
+                self.fired.add(inst.key)
+                self._fired_log.append(inst.key)
+                t0 = perf_ns()
+                deltas.append(self.evaluator.evaluate(inst))
+                obs.fire(cycle_no, inst.rule.name, perf_ns() - t0)
 
         if self.config.sanitize_races and len(deltas) > 1:
             self._sanitize_races(deltas)
 
-        with self._phase("merge", "apply", cycle=cycle_no, deltas=len(deltas)):
+        with obs.phase("merge", "apply", cycle_no, deltas=len(deltas)):
             merged = merge_deltas(
                 deltas,
                 policy=self.config.interference,
                 dedupe_makes=self.config.dedupe_makes,
             )
             self._apply(merged, deltas)
-
-        if metrics.enabled:
-            metrics.inc("parulel_firings_total", len(survivors))
-            metrics.inc("parulel_delta_removes_total", len(merged.removes))
-            metrics.inc("parulel_delta_makes_total", len(merged.makes))
-            metrics.inc("parulel_conflicts_resolved_total", merged.conflicts_resolved)
-            metrics.set_gauge("parulel_wm_size", len(self.wm))
 
         halted = merged.halt or self.meta.halt_requested
         self.output.extend(merged.writes)
@@ -519,90 +461,17 @@ class ParulelEngine:
             )
         )
 
-    def _phase(self, span_name: str, phase_key: str, **args: Any) -> PhaseSpan:
-        """One cycle phase: a named span (paper vocabulary — match /
-        redact / act / merge) whose single measurement also feeds
-        ``phase_times`` (historical keys — collect / redact / evaluate /
-        apply), the phase-seconds histogram, and — when the flight
-        recorder is on — an ``EV_PHASE`` ring record."""
-        return PhaseSpan(
-            self.timer,
-            self.tracer,
-            self.metrics,
-            span_name,
-            phase_key,
-            flightrec=self.flightrec,
-            flight_cycle=args.get("cycle", 0),
-            flight_code=(
-                self._fr.PHASE_CODES.get(span_name, 0)
-                if self.flightrec is not None
-                else 0
-            ),
-            **args,
-        )
-
     def _emit(self, report: CycleReport) -> CycleReport:
         """The ONLY path a :class:`CycleReport` leaves the engine by:
         records it, applies its halt flag, and invokes the trace callback
         exactly once — whatever branch of the cycle produced it."""
-        flightrec = self.flightrec
-        if flightrec is not None:
-            if self._replay_count:
-                flightrec.record(
-                    self._fr.EV_REPLAY, report.cycle, a=self._replay_count
-                )
-                self._replay_count = 0
-            flightrec.record(
-                self._fr.EV_CYCLE,
-                report.cycle,
-                a=report.fired,
-                b=report.conflict_set_size,
-            )
-            if report.halted:
-                flightrec.record(self._fr.EV_HALT, report.cycle)
+        self.obs.cycle(report, self.wm)
         self.reports.append(report)
         if report.halted:
             self.halted = True
         if self.trace is not None:
             self.trace(report)
         return report
-
-    def _count_cycle(
-        self,
-        candidates: Sequence[Instantiation],
-        survivors: Sequence[Instantiation],
-        red_report: RedactionReport,
-    ) -> None:
-        """Per-cycle metric counts (called only when metrics are enabled).
-
-        Per-rule redaction counts come from the candidate/survivor
-        difference — redaction is the only reducer between the two sets.
-        """
-        metrics = self.metrics
-        metrics.inc("parulel_cycles_total")
-        metrics.inc("parulel_candidates_total", len(candidates))
-        metrics.inc("parulel_redacted_total", red_report.redacted)
-        metrics.inc("parulel_meta_cycles_total", red_report.meta_cycles)
-        metrics.inc("parulel_meta_firings_total", red_report.meta_firings)
-        if red_report.skipped:
-            metrics.inc(REDACTION_SKIPPED, red_report.skipped)
-        cand_by_rule = Counter(i.rule.name for i in candidates)
-        surv_by_rule = Counter(i.rule.name for i in survivors)
-        for rule, n in cand_by_rule.items():
-            metrics.inc(RULE_CANDIDATES, n, rule=rule)
-            fired = surv_by_rule.get(rule, 0)
-            if fired:
-                metrics.inc(RULE_FIRINGS, fired, rule=rule)
-            if n - fired:
-                metrics.inc(RULE_REDACTIONS, n - fired, rule=rule)
-        stats = getattr(self.matcher, "stats", None)
-        if stats is not None:
-            snap = stats.snapshot()
-            for op, total in snap.items():
-                delta = total - self._last_match_ops.get(op, 0)
-                if delta:
-                    metrics.inc(MATCH_OPS, delta, op=op)
-            self._last_match_ops = snap
 
     def _certified_skip(self, candidates: Sequence[Instantiation]) -> frozenset:
         """1-based ids of candidates whose reification is provably skippable.
@@ -666,11 +535,9 @@ class ParulelEngine:
         cross-check of the static verdicts (``--sanitize-races``)."""
         index, replayer = self._commute_index, self._pair_replayer
         assert index is not None and replayer is not None
-        metrics = self.metrics
         for i, da in enumerate(deltas):
             for db in deltas[i + 1 :]:
-                if metrics.enabled:
-                    metrics.inc(SANITIZER_REPLAYS)
+                self.obs.sanitized_pair()
                 if replayer.replay((da, db)) == replayer.replay((db, da)):
                     continue
                 a, b = da.inst, db.inst
@@ -678,13 +545,7 @@ class ParulelEngine:
                     a.rule.name, b.rule.name
                 ) or frozenset((a.key, b.key)) in self._certified_pairs
                 if certified:
-                    if self.flightrec is not None:
-                        self.flightrec.record(
-                            self._fr.EV_RACE,
-                            self._cycle,
-                            code=self.flightrec.rule_id(a.rule.name),
-                            a=self.flightrec.rule_id(b.rule.name),
-                        )
+                    self.obs.race(self._cycle, a.rule.name, b.rule.name)
                     raise CommuteViolationError(
                         f"race sanitizer: rules {a.rule.name!r} and "
                         f"{b.rule.name!r} were certified as commuting but "
@@ -744,7 +605,7 @@ class ParulelEngine:
         start_output = len(self.output)
         wall0 = time.perf_counter()
         reason = "quiescence"
-        with self.tracer.span("run", lane="engine", start_cycle=start_cycle):
+        with self.obs.span("run", start_cycle=start_cycle):
             try:
                 reason = self._run_loop(
                     limit, start_cycle, start_report, start_output, wall0
@@ -807,30 +668,21 @@ class ParulelEngine:
 
     # -- black box -------------------------------------------------------------
 
-    def _note_replay(self) -> None:
-        """PairReplayer hook: counted per cycle, flushed by :meth:`_emit`
-        as one ``EV_REPLAY`` record instead of flooding the ring."""
-        self._replay_count += 1
-
     def dump_blackbox(self, path: Optional[str] = None, reason: str = "manual") -> Optional[str]:
         """Write a ``*.blackbox`` post-mortem dump of every flight ring
         (the engine's plus all worker rings) and return its path, or
         ``None`` when the recorder is off. Called automatically on
         abnormal exits; callable any time for a live snapshot."""
-        if self.flightrec is None:
-            return None
-        path = path or self.config.blackbox_path or self._fr.default_blackbox_path()
         cfg = {
             f.name: repr(getattr(self.config, f.name))
             for f in self.config.__dataclass_fields__.values()
         }
         seed = getattr(self.config.fault_plan, "seed", None)
-        self.flightrec.dump(
-            path,
-            reason=reason,
-            info={"config": cfg, "seed": seed, "cycle": self._cycle},
+        return self.obs.dump(
+            path or self.config.blackbox_path,
+            reason,
+            {"config": cfg, "seed": seed, "cycle": self._cycle},
         )
-        return path
 
     def _dump_blackbox(self, reason: str) -> Optional[str]:
         """Best-effort crash dump: never masks the exception in flight."""
@@ -854,8 +706,7 @@ class ParulelEngine:
         wm_close = getattr(self.wm, "close", None)
         if wm_close is not None:
             wm_close()
-        if self.flightrec is not None:
-            self.flightrec.close()
+        self.obs.close()
 
     def __enter__(self) -> "ParulelEngine":
         return self
@@ -902,8 +753,7 @@ class ParulelEngine:
                 for removed, made in self.delta_log
             ],
         }
-        if self.flightrec is not None:
-            self.flightrec.record(self._fr.EV_CHECKPOINT, self._cycle, code=0)
+        self.obs.checkpoint(self._cycle, delta=False)
         if path is not None:
             from repro.resilience.checkpoint import write_envelope
 
@@ -951,8 +801,7 @@ class ParulelEngine:
                 for removed, made in self.delta_log[d0:]
             ],
         }
-        if self.flightrec is not None:
-            self.flightrec.record(self._fr.EV_CHECKPOINT, self._cycle, code=1)
+        self.obs.checkpoint(self._cycle, delta=True)
         return payload, self.checkpoint_cursor()
 
     @classmethod

@@ -105,9 +105,7 @@ def create_matcher(
     fault_plan=None,
     assignment=None,
     supervisor=None,
-    tracer=None,
-    metrics=None,
-    flightrec=None,
+    obs=None,
     indexed: bool = True,
     vector_probe: bool = True,
 ) -> Matcher:
@@ -136,13 +134,13 @@ def create_matcher(
     a columnar store — every other engine matches over WME objects and
     accepts the flag as a no-op so callers need not special-case it.
 
-    ``tracer`` / ``metrics`` / ``flightrec`` (:mod:`repro.obs`) are
-    cross-cutting and accepted for every backend: the process pool uses
-    them to record worker lanes, IPC counts and per-worker flight rings,
+    ``obs`` (the engine's :class:`~repro.obs.emit.Obs` emit point) is
+    cross-cutting and accepted for every backend: the process pool emits
+    worker lanes, IPC counts and per-worker flight rings through it,
     while serial engines — whose work the engine's own phase spans and
-    ring records already cover — have nothing extra to record and ignore
-    them. They never change match behaviour, so unlike the process-only
-    knobs they are not an error elsewhere.
+    ring records already cover — have nothing extra to emit and ignore
+    it. It never changes match behaviour, so unlike the process-only
+    knobs it is not an error elsewhere.
     """
     # Imported here to avoid a cycle (engines import this interface).
     from repro.match.naive import NaiveMatcher
@@ -170,9 +168,7 @@ def create_matcher(
             respawn_limit=respawn_limit,
             fault_plan=fault_plan,
             supervisor=supervisor,
-            tracer=tracer,
-            metrics=metrics,
-            flightrec=flightrec,
+            obs=obs,
             indexed=indexed,
             vector_probe=vector_probe,
         )

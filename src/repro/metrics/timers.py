@@ -1,12 +1,11 @@
 """Phase timing and cycle-report summarization.
 
-:class:`PhaseTimer` is the low-level accumulator the observability span
-layer (:mod:`repro.obs.trace`) is built on: every closed span feeds its
-duration into a timer via :meth:`PhaseTimer.add`, and the engine's public
-``phase_times`` counter is a live view of one. Because spans close from
-worker threads (:class:`~repro.parallel.threaded.ThreadedMatchPool` lanes)
-the timer is thread-safe: both counters update under one lock, so
-concurrent ``phase()``/``add()`` calls never lose increments.
+:class:`PhaseTimer` is the per-phase accumulator behind the engine's
+public ``phase_times`` (a live view of its seconds counter): the emit
+point (:meth:`repro.obs.emit.Obs.phase`) feeds each measured phase into
+it via :meth:`PhaseTimer.add`. The timer is thread-safe — both counters
+update under one lock, so concurrent ``phase()``/``add()`` calls never
+lose increments.
 """
 
 from __future__ import annotations

@@ -4,15 +4,20 @@ PARULEL's argument is about *where the cycle time goes* — match vs.
 redaction vs. act vs. communication. This package is the layer that makes
 every execution substrate show its work:
 
+- :mod:`repro.obs.emit` — :class:`~repro.obs.emit.Obs`, the one emit
+  point: the engine, the match pools, the distributed machine and each
+  process worker report every event through one method per event kind,
+  and only that method knows which sinks below are attached (it also
+  holds the one instrumented per-site rule-match loop);
 - :mod:`repro.obs.trace` — monotonic-clock spans and instants on named
   lanes (engine, worker processes, distributed sites, the simulated
   network), thread/process-safe, exported as Chrome trace-event JSON
   (open it in Perfetto or ``chrome://tracing``) or JSONL;
 - :mod:`repro.obs.metrics` — a labelled counter/gauge/histogram registry
-  with JSON snapshots and Prometheus text exposition, with exact
-  cross-process merging for worker-shipped counts;
+  with JSON snapshots and Prometheus text exposition, held by the parent
+  (workers ship raw per-rule timings with their replies);
 - :mod:`repro.obs.profile` — the per-rule hot-rule table
-  (``parulel profile``).
+  (``parulel profile``) and the metric-name catalog.
 
 - :mod:`repro.obs.flightrec` / :mod:`repro.obs.blackbox` — the always-on
   black-box flight recorder: bounded shared-memory event rings that
@@ -22,10 +27,10 @@ every execution substrate show its work:
 - :mod:`repro.obs.metrics_http` — one-shot HTTP ``/metrics`` exposition
   for ``parulel run --metrics-port``.
 
-Everything defaults to the no-op :data:`NULL_TRACER` /
-:data:`NULL_METRICS` singletons, so the disabled path costs an attribute
-load and a branch — the overhead benchmark holds the enabled path under
-5% on the ``tc`` and ``manners`` workloads.
+Tracer and metrics default to the no-op :data:`NULL_TRACER` /
+:data:`NULL_METRICS` singletons, so the disabled path costs a branch in
+the emit point — the overhead benchmark holds the enabled path under 5%
+on the ``tc`` and ``manners`` workloads.
 """
 
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry, NullMetrics
@@ -44,6 +49,7 @@ __all__ = [
     "MetricsHTTPServer",
     "MetricsRegistry",
     "NULL_METRICS",
+    "Obs",
     "NULL_TRACER",
     "NullMetrics",
     "NullTracer",
@@ -57,10 +63,11 @@ __all__ = [
     "validate_chrome_trace",
 ]
 
-#: Flight-recorder names resolve lazily (PEP 562) so importing
-#: ``repro.obs`` never drags in ``multiprocessing.shared_memory`` — the
-#: engine's default dict-WM path stays import-light.
+#: Flight-recorder names (and the emit point, which writes the rings)
+#: resolve lazily (PEP 562), so importing ``repro.obs`` alone never drags
+#: in ``multiprocessing.shared_memory``.
 _LAZY = {
+    "Obs": "repro.obs.emit",
     "FlightRecorder": "repro.obs.flightrec",
     "FlightRing": "repro.obs.flightrec",
     "Blackbox": "repro.obs.blackbox",

@@ -292,6 +292,10 @@ class FlightRing:
             self._seq = seq + 1
             _SEQ.pack_into(self._buf, _SEQ_OFFSET, self._seq)
 
+    #: Same call shape as :meth:`FlightRecorder.record`, so a worker's
+    #: emit point writes its ring the way the parent writes the recorder.
+    record = append
+
     def snapshot(self) -> bytes:
         """The raw ring bytes (header + slots), for dumps and decoding.
         Safe to call on a ring another process is writing: torn slots are
@@ -569,22 +573,3 @@ class FlightRecorder:
         self.ring._seg = None
         self.ring._buf = b""
         self.enabled = False
-
-
-class NullFlightRecorder:
-    """Disabled stand-in mirroring the NULL_TRACER/NULL_METRICS idiom for
-    call sites that prefer a null object over an ``is not None`` guard."""
-
-    enabled = False
-
-    def record(self, *args: Any, **kw: Any) -> None:  # pragma: no cover
-        pass
-
-    def record_fault(self, *args: Any, **kw: Any) -> None:  # pragma: no cover
-        pass
-
-    def close(self) -> None:  # pragma: no cover
-        pass
-
-
-NULL_FLIGHTREC = NullFlightRecorder()

@@ -12,15 +12,13 @@ Series identity is ``(name, sorted(labels))``, so
 with a different rule are distinct series of one metric — exactly the
 Prometheus data model.
 
-Cross-process story: worker processes keep their own registry, ship
-:meth:`MetricsRegistry.dump` (a picklable dict) back with their results,
-and the parent :meth:`MetricsRegistry.merge`\\ s it — counters add,
-gauges last-write-wins, histogram observations concatenate. Counts stay
-*exact* under this scheme (the concurrency tests hammer it from threads
-and real worker processes).
+Only the parent process holds a registry. A process worker records
+nothing into one: it ships its per-rule match seconds and vector-probe
+counts with each reply, and the parent's emit point
+(:meth:`repro.obs.emit.Obs.reply`) observes them here, labelled by site.
 
-:class:`NullMetrics` is the free disabled default; hot paths guard any
-per-item work with ``metrics.enabled``.
+:class:`NullMetrics` is the free disabled default; the emit point guards
+any per-item work with ``metrics.enabled``.
 """
 
 from __future__ import annotations
@@ -150,44 +148,6 @@ class MetricsRegistry:
                 if n == name
             }
 
-    # -- cross-process merge -------------------------------------------------
-
-    def dump(self) -> Dict[str, Any]:
-        """Picklable full state (worker → parent shipping)."""
-        with self._lock:
-            return {
-                "counters": [(n, list(l), v) for (n, l), v in self._counters.items()],
-                "gauges": [(n, list(l), v) for (n, l), v in self._gauges.items()],
-                "hists": [
-                    (n, list(l), h.count, h.total, h.vmin, h.vmax, list(h.values))
-                    for (n, l), h in self._hists.items()
-                ],
-            }
-
-    def merge(self, dumped: Mapping[str, Any]) -> None:
-        """Fold another registry's :meth:`dump` in: counters add, gauges
-        last-write-wins, histogram observations concatenate."""
-        with self._lock:
-            for n, labels, v in dumped.get("counters", ()):
-                key = (n, tuple((k, s) for k, s in labels))
-                self._counters[key] = self._counters.get(key, 0.0) + v
-            for n, labels, v in dumped.get("gauges", ()):
-                self._gauges[(n, tuple((k, s) for k, s in labels))] = v
-            for n, labels, count, total, vmin, vmax, values in dumped.get("hists", ()):
-                key = (n, tuple((k, s) for k, s in labels))
-                hist = self._hists.get(key)
-                if hist is None:
-                    hist = self._hists[key] = _Histogram()
-                hist.count += count
-                hist.total += total
-                if vmin is not None:
-                    hist.vmin = vmin if hist.vmin is None else min(hist.vmin, vmin)
-                if vmax is not None:
-                    hist.vmax = vmax if hist.vmax is None else max(hist.vmax, vmax)
-                room = MAX_OBSERVATIONS - len(hist.values)
-                if room > 0:
-                    hist.values.extend(values[:room])
-
     # -- exposition ----------------------------------------------------------
 
     def snapshot(self) -> Dict[str, Any]:
@@ -291,12 +251,6 @@ class NullMetrics:
 
     def histogram_series(self, name: str) -> Dict[Tuple[Tuple[str, str], ...], Dict[str, float]]:
         return {}
-
-    def dump(self) -> Dict[str, Any]:
-        return {"counters": [], "gauges": [], "hists": []}
-
-    def merge(self, dumped: Mapping[str, Any]) -> None:
-        return None
 
     def snapshot(self) -> Dict[str, Any]:
         return {"counters": {}, "gauges": {}, "histograms": {}}

@@ -27,6 +27,8 @@ RULE_FIRINGS = "parulel_rule_firings_total"
 RULE_REDACTIONS = "parulel_rule_redactions_total"
 RULE_EVAL_SECONDS = "parulel_rule_eval_seconds"
 RULE_MATCH_SECONDS = "parulel_rule_match_seconds"
+#: Per-cycle engine phase durations (seconds), labelled by phase key.
+PHASE_SECONDS = "parulel_phase_seconds"
 #: Per-op match-kernel work counters (``op`` label = a
 #: :data:`repro.match.stats.COUNTER_NAMES` entry), exported by the engine
 #: as per-cycle deltas of the matcher's MatchStats totals.

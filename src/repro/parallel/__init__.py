@@ -23,7 +23,6 @@ a deterministic simulation (see DESIGN.md §2):
 - :mod:`repro.parallel.stats` — speedup/efficiency series helpers.
 """
 
-from repro.parallel.autotune import TunedPlan, autotune, hottest_rule
 from repro.parallel.costmodel import CostModel
 from repro.parallel.distributed import DistResult, DistributedMachine, NetworkModel
 from repro.parallel.partition import (
@@ -53,9 +52,6 @@ __all__ = [
     "SimResult",
     "SpeedupSeries",
     "ThreadedMatchPool",
-    "TunedPlan",
-    "autotune",
-    "hottest_rule",
     "copy_and_constrain",
     "copy_and_constrain_program",
     "hash_partitions",

@@ -65,8 +65,7 @@ from repro.lang.ast import Program, Value
 from repro.match.compile import compile_rules
 from repro.match.instantiation import InstKey, Instantiation
 from repro.match.interface import Matcher, create_matcher
-from repro.obs.metrics import NULL_METRICS
-from repro.obs.trace import NULL_TRACER, TraceEvent
+from repro.obs.emit import Obs
 from repro.parallel.costmodel import CostModel
 from repro.parallel.partition import (
     Assignment,
@@ -154,27 +153,26 @@ class DistributedMachine:
         dedupe_makes: bool = True,
         multicast: bool = False,
         fault_plan: Optional[FaultPlan] = None,
+        obs: Optional[Obs] = None,
+        indexed: bool = True,
         tracer=None,
         metrics=None,
-        indexed: bool = True,
     ) -> None:
         if n_sites < 1:
             raise ValueError("need at least one site")
         self.program = program
         self.n_sites = n_sites
-        #: Observability (:mod:`repro.obs`). The machine has no wall clock
-        #: of its own — everything is cost-model ticks — so its trace is a
-        #: *virtual* timeline: one tick renders as one microsecond, each
-        #: site is a lane (``site-0`` doubles as the master) and the
+        #: Observability (``obs``, or one wrapping the ``tracer`` and
+        #: ``metrics`` given). The machine has no wall clock of its own —
+        #: everything is cost-model ticks — so its trace is a *virtual*
+        #: timeline: one tick renders as one microsecond, each site is a
+        #: lane (``site-0`` doubles as the master) and the
         #: :class:`NetworkModel` charges appear as spans on a ``network``
         #: lane. Fault injections/recoveries land as instants.
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else NULL_METRICS
+        self.obs = obs or Obs(tracer, metrics)
         self._vclock_us = 0.0
-        if self.tracer.enabled:
-            for s in range(n_sites):
-                self.tracer.declare_lane(f"site-{s}")
-            self.tracer.declare_lane("network")
+        for lane in [f"site-{s}" for s in range(n_sites)] + ["network"]:
+            self.obs.tracer.declare_lane(lane)
         self.assignment = resolve_assignment(assignment, program.rules, n_sites)
         self.assignment.validate(program.rules)
         self.cost = cost_model or CostModel()
@@ -309,39 +307,18 @@ class DistributedMachine:
 
     # -- virtual-clock tracing ---------------------------------------------------
 
-    def _vspan(
-        self, batch: List[TraceEvent], name: str, lane: str, start_us: float, dur_us: float, **args
-    ) -> None:
-        """Synthesize one span on the virtual timeline (ticks as µs).
-
-        Events are plain :data:`~repro.obs.trace.TraceEvent` tuples with
-        timestamps offset from the tracer's origin, fed through
-        :meth:`~repro.obs.trace.Tracer.ingest` — exactly the path worker
-        processes use, so virtual and wall-clock traces share tooling.
-        """
-        base = self.tracer.origin_ns
-        batch.append(("B", name, lane, base + int(start_us * 1000), args or None))
-        batch.append(("E", name, lane, base + int((start_us + max(dur_us, 0.0)) * 1000), None))
-
-    def _vinstant(
-        self, batch: List[TraceEvent], name: str, lane: str, at_us: float, **args
-    ) -> None:
-        base = self.tracer.origin_ns
-        batch.append(("i", name, lane, base + int(at_us * 1000), args or None))
-
-    def _obs_faults(self, batch: List[TraceEvent], ev_mark: int, at_us: float) -> int:
-        """Render injector events recorded since ``ev_mark`` as trace
-        instants (on the affected site's lane, or ``network`` for message
-        fates) and fault-metric counts; returns the new mark."""
+    def _obs_faults(self, ev_mark: int, at_us: float) -> int:
+        """Emit injector events recorded since ``ev_mark`` (instants on the
+        affected site's lane, or ``network`` for message fates); returns
+        the new mark."""
         if self._injector is None:
             return ev_mark
         events = self._injector.events
         for event in events[ev_mark:]:
             lane = f"site-{event.site}" if event.site is not None else "network"
-            if self.tracer.enabled:
-                self._vinstant(batch, event.kind, lane, at_us, detail=event.detail)
-            if self.metrics.enabled:
-                self.metrics.inc("parulel_fault_events_total", kind=event.kind)
+            self.obs.fault(
+                event.kind, event.site, event.cycle, event.detail, lane, at_us=at_us
+            )
         return len(events)
 
     # -- fault handling ----------------------------------------------------------
@@ -369,10 +346,9 @@ class DistributedMachine:
             site=site,
             detail=f"{moved} rule slot(s) re-hosted across survivors",
         )
-        if self.metrics.enabled:
-            # Same gauge the process pool's supervisor exports: 0 = site
-            # serving at full isolation, >0 = degraded/down.
-            self.metrics.set_gauge("parulel_site_mode", 1, site=site)
+        # Same gauge the process pool's supervisor exports: 0 = site
+        # serving at full isolation, >0 = degraded/down.
+        self.obs.site_mode(site, 1)
         # One timeout round, then a control round carrying the new hosting.
         return self.network.latency + self.network.round_cost(moved), moved
 
@@ -404,8 +380,7 @@ class DistributedMachine:
             detail=f"replayed {records} delta record(s); {moved} rule slot(s) "
             f"migrated home",
         )
-        if self.metrics.enabled:
-            self.metrics.set_gauge("parulel_site_mode", 0, site=site)
+        self.obs.site_mode(site, 0)
         return self.network.round_cost(records), records
 
     def _apply_cycle_faults(self, cycle_no: int) -> Tuple[float, int]:
@@ -485,20 +460,15 @@ class DistributedMachine:
                 retries=self._injector.retries if self._injector is not None else 0,
             )
 
-        def flush(batch: List[TraceEvent], vt: float) -> None:
-            if batch:
-                self.tracer.ingest(batch)
-            self._vclock_us = vt
-
+        obs = self.obs
         # Load phase: parallel across sites.
         load = [self.cost.match_cost(self._site_ops_delta(s)) for s in range(self.n_sites)]
         compute += max(load) if load else 0.0
-        if self.tracer.enabled and any(load):
-            batch: List[TraceEvent] = []
+        if any(load):
             for s, ticks in enumerate(load):
                 if ticks:
-                    self._vspan(batch, "load", f"site-{s}", self._vclock_us, ticks)
-            flush(batch, self._vclock_us + max(load))
+                    obs.vspan("load", f"site-{s}", self._vclock_us, ticks)
+            self._vclock_us += max(load)
 
         ev_mark = 0
         while True:
@@ -510,16 +480,15 @@ class DistributedMachine:
                     partial=result("cycle-limit"),
                 )
             cycle_no = cycles + 1
-            batch = []
             vt = self._vclock_us
             if self._injector is not None:
                 fault_comm, fault_msgs = self._apply_cycle_faults(cycle_no)
                 comm += fault_comm
                 messages += fault_msgs
-                ev_mark = self._obs_faults(batch, ev_mark, vt)
-                if self.tracer.enabled and fault_comm:
-                    self._vspan(
-                        batch, "recovery", "network", vt, fault_comm,
+                ev_mark = self._obs_faults(ev_mark, vt)
+                if fault_comm:
+                    obs.vspan(
+                        "recovery", "network", vt, fault_comm,
                         cycle=cycle_no, messages=fault_msgs,
                     )
                     vt += fault_comm
@@ -542,7 +511,7 @@ class DistributedMachine:
             }
             gather_msgs = sum(1 for site in inst_site.values() if site != 0)
             if not candidates:
-                flush(batch, vt)
+                self._vclock_us = vt
                 break
             cycles += 1
             # A single-site machine exchanges no messages at all — charging
@@ -557,17 +526,13 @@ class DistributedMachine:
                     gather_cost += extra_comm
                     messages += extra_msgs
                 comm += gather_cost
-                if self.tracer.enabled:
-                    self._vspan(
-                        batch, "gather", "network", vt, gather_cost,
-                        cycle=cycle_no, messages=gather_msgs,
-                    )
-                    vt += gather_cost
-            messages += gather_msgs
-            if self.metrics.enabled and gather_msgs:
-                self.metrics.inc(
-                    "parulel_network_messages_total", gather_msgs, round="gather"
+                obs.vspan(
+                    "gather", "network", vt, gather_cost,
+                    cycle=cycle_no, messages=gather_msgs,
                 )
+                vt += gather_cost
+            messages += gather_msgs
+            obs.messages("gather", gather_msgs)
 
             # ---- redact on the master -------------------------------------
             survivors, red_report = self.meta.redact(candidates)
@@ -578,29 +543,23 @@ class DistributedMachine:
             # Only redaction verdicts ship back (survivors fire in place).
             comm += verdict_cost
             messages += red_report.redacted
-            if self.tracer.enabled:
-                self._vspan(
-                    batch, "redact", "site-0", vt, redact_ticks,
-                    cycle=cycle_no, candidates=len(candidates),
-                    redacted=red_report.redacted,
+            obs.vspan(
+                "redact", "site-0", vt, redact_ticks,
+                cycle=cycle_no, candidates=len(candidates),
+                redacted=red_report.redacted,
+            )
+            vt += redact_ticks
+            if verdict_cost:
+                obs.vspan(
+                    "verdicts", "network", vt, verdict_cost,
+                    cycle=cycle_no, messages=red_report.redacted,
                 )
-                vt += redact_ticks
-                if verdict_cost:
-                    self._vspan(
-                        batch, "verdicts", "network", vt, verdict_cost,
-                        cycle=cycle_no, messages=red_report.redacted,
-                    )
-                    vt += verdict_cost
-            if self.metrics.enabled and red_report.redacted:
-                self.metrics.inc(
-                    "parulel_network_messages_total",
-                    red_report.redacted,
-                    round="verdict",
-                )
+                vt += verdict_cost
+            obs.messages("verdict", red_report.redacted)
 
             if not survivors:
                 reason = "redaction-quiescence"
-                flush(batch, vt)
+                self._vclock_us = vt
                 break
 
             # ---- fire (each site evaluates its own survivors) --------------
@@ -667,17 +626,13 @@ class DistributedMachine:
                     scatter_cost += extra_comm
                     messages += extra_msgs
                 comm += scatter_cost
-                if self.tracer.enabled:
-                    self._vspan(
-                        batch, "scatter", "network", vt, scatter_cost,
-                        cycle=cycle_no, messages=scatter_msgs,
-                    )
-                    vt += scatter_cost
-            messages += scatter_msgs
-            if self.metrics.enabled and scatter_msgs:
-                self.metrics.inc(
-                    "parulel_network_messages_total", scatter_msgs, round="scatter"
+                obs.vspan(
+                    "scatter", "network", vt, scatter_cost,
+                    cycle=cycle_no, messages=scatter_msgs,
                 )
+                vt += scatter_cost
+            messages += scatter_msgs
+            obs.messages("scatter", scatter_msgs)
             for delta in deltas:
                 self.evaluator.run_calls(delta)
             self.output.extend(merged.writes)
@@ -700,16 +655,13 @@ class DistributedMachine:
                                 site=s,
                                 detail=f"compute ×{factor:g}",
                             )
-                if self.tracer.enabled:
-                    self._vspan(
-                        batch, "match+fire", f"site-{s}", vt, ticks, cycle=cycle_no
-                    )
+                obs.vspan("match+fire", f"site-{s}", vt, ticks, cycle=cycle_no)
                 site_ticks.append(ticks)
             compute += max(site_ticks)
             serial += self.cost.barrier
             vt += max(site_ticks) + self.cost.barrier
-            ev_mark = self._obs_faults(batch, ev_mark, vt)
-            flush(batch, vt)
+            ev_mark = self._obs_faults(ev_mark, vt)
+            self._vclock_us = vt
 
             if merged.halt or self.meta.halt_requested:
                 reason = "halt"

@@ -80,24 +80,7 @@ from repro.match.alphaindex import AlphaCache, ColumnVectorCache
 from repro.match.compile import CompiledRule, compile_rules
 from repro.match.instantiation import ConflictSet, Instantiation
 from repro.match.interface import Matcher
-from repro.match.join import enumerate_matches
-from repro.obs.flightrec import (
-    EV_MATCH_REPLY,
-    EV_MATCH_REQ,
-    EV_RULE_BEGIN,
-    EV_RULE_END,
-    EV_VECTOR_SCAN,
-    EV_WORKER_EXIT,
-    EV_WORKER_START,
-    FlightRing,
-)
-from repro.obs.metrics import NULL_METRICS
-from repro.obs.profile import (
-    RULE_MATCH_SECONDS,
-    VECTOR_PROBE_FALLBACK,
-    VECTOR_SCAN_ROWS,
-)
-from repro.obs.trace import NULL_TRACER, TraceEvent, Tracer
+from repro.obs.emit import Obs
 from repro.parallel.partition import Assignment, resolve_assignment
 from repro.resilience.supervisor import SiteSupervisor, SupervisorPolicy
 from repro.wm.columnar import ColumnarReader, ColumnarWorkingMemory
@@ -110,15 +93,6 @@ __all__ = ["ProcessMatchPool", "ProcessMatcher", "default_worker_count"]
 #: negated CE), variable environment). Small, picklable, and enough for the
 #: parent to rebuild the Instantiation against its own WME objects.
 MatchSummary = Tuple[str, Tuple[int, ...], Dict[str, Value]]
-
-#: Per-reply observability payload: the worker's raw span buffer (shipped
-#: back alongside match results, ingested onto a ``worker-<site>`` lane),
-#: per-rule match seconds, and the vectorized probe kernel's per-cycle
-#: work deltas (``None`` outside vector mode). ``None`` when observability
-#: is off.
-ObsPayload = Optional[
-    Tuple[List[TraceEvent], List[Tuple[str, float]], Optional[Dict[str, int]]]
-]
 
 #: Per-worker, per-cycle reply deadline (seconds). Generous: it exists to
 #: unwedge a hung worker, not to police slow matches. Override per run with
@@ -142,10 +116,22 @@ def default_worker_count() -> int:
 # ---------------------------------------------------------------------------
 
 
+def _summaries(insts: List[Instantiation]) -> List[MatchSummary]:
+    """The wire form of matched instantiations (see :data:`MatchSummary`)."""
+    return [
+        (
+            inst.rule.name,
+            tuple(w.timestamp if w is not None else 0 for w in inst.wmes),
+            inst.env,
+        )
+        for inst in insts
+    ]
+
+
 def _worker_main(
     conn: Connection,
     rules: Tuple[Rule, ...],
-    obs: bool = False,
+    ships: bool = False,
     indexed: bool = True,
     vector: bool = True,
     flight: Optional[Tuple[str, Dict[str, int]]] = None,
@@ -157,7 +143,8 @@ def _worker_main(
     - ``("match", [wire_delta, ...])`` — apply the pickled deltas in
       order, then reply ``("ok", ([MatchSummary, ...], obs_payload))``
       for this site's rules, where ``obs_payload`` is the worker's span
-      buffer and per-rule match times when ``obs`` is on, else ``None``;
+      buffer, per-rule match times and vector-probe deltas when ``ships``
+      is on, else ``None`` (:meth:`~repro.obs.emit.Obs.payload`);
     - ``("attach", spec)`` — columnar mode: attach the parent's
       shared-memory columns (:class:`~repro.wm.columnar.ColumnarReader`)
       and build the replica from the liveness snapshot; no reply;
@@ -180,10 +167,11 @@ def _worker_main(
     path, with the bootstrap batched class-by-class through
     ``wm.bulk_load`` / ``AlphaCache.bulk_add``.
 
-    With ``obs`` on the worker runs its own :class:`~repro.obs.Tracer`
-    (spans on a local lane, rewritten to ``worker-<site>`` by the parent
-    at ingest) — ``perf_counter_ns`` stamps share the parent's monotonic
-    base, so the shipped spans land on the parent's timeline unadjusted.
+    The worker emits through its own :class:`~repro.obs.emit.Obs`. With
+    ``ships`` on it runs a local :class:`~repro.obs.Tracer` (spans
+    rewritten to ``worker-<site>`` by the parent at ingest) —
+    ``perf_counter_ns`` stamps share the parent's monotonic base, so the
+    shipped spans land on the parent's timeline unadjusted.
 
     ``flight`` is the flight-recorder spec ``(ring segment name, rule-id
     map)``: the worker attaches the *parent-created* shared-memory ring
@@ -193,16 +181,8 @@ def _worker_main(
     mid-rule — that is the whole point. A respawned worker re-attaches
     the same ring and continues the sequence.
     """
-    ring: Optional[FlightRing] = None
-    rule_ids: Dict[str, int] = {}
-    if flight is not None:
-        ring_name, rule_ids = flight
-        try:
-            ring = FlightRing.attach(ring_name)
-        except Exception:  # noqa: BLE001 - recording is best-effort
-            ring = None
-    if ring is not None:
-        ring.append(EV_WORKER_START, 0, a=os.getpid())
+    obs = Obs.for_worker(ships, flight)
+    obs.worker_start(os.getpid())
     compiled = compile_rules(rules)
     wm = WorkingMemory()
     by_ts: Dict[int, WME] = {}
@@ -213,7 +193,6 @@ def _worker_main(
     # the cache then primes per class via bulk_add instead of replaying
     # one listener callback per WME.
     alpha: Optional[AlphaCache] = None
-    tracer = Tracer() if obs else NULL_TRACER
     reader: Optional[ColumnarReader] = None
     #: Column-native alpha source; set on attach in vector mode, in which
     #: case ``wm``/``by_ts``/``alpha`` stay empty and unused.
@@ -245,18 +224,11 @@ def _worker_main(
         try:
             msg = conn.recv()
         except (EOFError, OSError):
+            msg = None
+        if msg is None or msg[0] == "stop":
             if reader is not None:
                 reader.close()
-            if ring is not None:
-                ring.append(EV_WORKER_EXIT, cycle, code=1)  # pipe lost
-                ring.close()
-            return
-        if msg[0] == "stop":
-            if reader is not None:
-                reader.close()
-            if ring is not None:
-                ring.append(EV_WORKER_EXIT, cycle, code=0)  # clean stop
-                ring.close()
+            obs.worker_exit(cycle, pipe_lost=msg is None)
             return
         try:
             tag = msg[0]
@@ -264,7 +236,7 @@ def _worker_main(
                 if reader is not None:
                     reader.close()
                 reader = ColumnarReader(msg[1])
-                with tracer.span("attach", lane="worker"):
+                with obs.span("attach", lane="worker"):
                     if vector and indexed:
                         # Vector mode: nothing is materialized up front —
                         # memories prime themselves from the liveness
@@ -277,15 +249,9 @@ def _worker_main(
                 conn.send(("pong", msg[1]))
                 continue
             cycle += 1
-            if ring is not None:
-                ring.append(
-                    EV_MATCH_REQ,
-                    cycle,
-                    a=len(msg[1]) if tag == "match" else -1,
-                )
-            rule_times: List[Tuple[str, float]] = []
+            obs.match_request(cycle, len(msg[1]) if tag == "match" else -1)
             if tag == "match-shm":
-                with tracer.span("refresh-journal", lane="worker", cycle=cycle):
+                with obs.span("refresh-journal", lane="worker", cycle=cycle):
                     if vcache is not None:
                         vcache.refresh(msg[1])
                     else:
@@ -293,65 +259,25 @@ def _worker_main(
             else:
                 deltas = msg[1]
                 if deltas:
-                    with tracer.span(
+                    with obs.span(
                         "apply-delta", lane="worker", cycle=cycle, deltas=len(deltas)
                     ):
                         for wire in deltas:
                             WMDelta.apply_wire(wm, by_ts, wire)
-            out: List[MatchSummary] = []
             alpha_source = vcache if vcache is not None else ensure_alpha()
-            with tracer.span("match", lane="worker", cycle=cycle, rules=len(compiled)):
-                for cr in compiled:
-                    t0 = time.perf_counter() if obs else 0.0
-                    # Begin/end bracket per rule: a SIGKILL between the two
-                    # leaves an unmatched BEGIN in the shared ring — exactly
-                    # what the post-mortem "last in-flight rule" query reads.
-                    if ring is not None:
-                        n0 = len(out)
-                        ring.append(
-                            EV_RULE_BEGIN, cycle, code=rule_ids.get(cr.name, 0)
-                        )
-                    for inst in enumerate_matches(
-                        cr, wm, alpha_source=alpha_source, indexed=indexed
-                    ):
-                        out.append(
-                            (
-                                cr.name,
-                                tuple(
-                                    w.timestamp if w is not None else 0
-                                    for w in inst.wmes
-                                ),
-                                inst.env,
-                            )
-                        )
-                    if ring is not None:
-                        ring.append(
-                            EV_RULE_END,
-                            cycle,
-                            code=rule_ids.get(cr.name, 0),
-                            a=len(out) - n0,
-                        )
-                    if obs:
-                        rule_times.append((cr.name, time.perf_counter() - t0))
+            with obs.span("match", lane="worker", cycle=cycle, rules=len(compiled)):
+                insts, rule_times = obs.match_rules(
+                    compiled, wm, alpha_source, indexed, cycle, bracket=True
+                )
+                out = _summaries(insts)
             vec_stats: Optional[Dict[str, int]] = None
             if vcache is not None:
                 cur = vcache.counters()
                 vec_stats = {k: cur[k] - vec_prev[k] for k in cur}
                 vec_prev = cur
-                if ring is not None:
-                    ring.append(
-                        EV_VECTOR_SCAN,
-                        cycle,
-                        a=vec_stats["scanned"],
-                        b=vec_stats["materialized"],
-                        code=min(vec_stats["fallback"], 0x7FFF),
-                    )
-            payload: ObsPayload = (
-                (tracer.drain_events(), rule_times, vec_stats) if obs else None
-            )
-            conn.send(("ok", (out, payload)))
-            if ring is not None:
-                ring.append(EV_MATCH_REPLY, cycle, a=len(out))
+                obs.vector_scan(cycle, vec_stats)
+            conn.send(("ok", (out, obs.payload(rule_times, vec_stats))))
+            obs.match_reply(cycle, len(out))
         except Exception as exc:  # noqa: BLE001 - forwarded to the parent
             try:
                 conn.send(("err", f"{type(exc).__name__}: {exc}"))
@@ -385,11 +311,12 @@ class ProcessMatchPool:
         respawn_limit: Optional[int] = None,
         fault_plan: Optional[FaultPlan] = None,
         supervisor: Optional[SupervisorPolicy] = None,
+        obs: Optional[Obs] = None,
+        indexed: bool = True,
+        vector_probe: bool = True,
         tracer=None,
         metrics=None,
         flightrec=None,
-        indexed: bool = True,
-        vector_probe: bool = True,
     ) -> None:
         if n_workers < 1:
             raise ValueError("need at least one worker")
@@ -401,11 +328,10 @@ class ProcessMatchPool:
             raise ValueError("timeout must be > 0 seconds")
         if respawn_limit is not None and respawn_limit < 0:
             raise ValueError("respawn_limit must be >= 0 (None for unlimited)")
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else NULL_METRICS
-        #: Workers only pay span-recording costs when the parent can use
-        #: them; the flag rides along on every (re)spawn.
-        self._obs = self.tracer.enabled or self.metrics.enabled
+        #: The emit point (the engine's, or one wrapping the sinks given
+        #: for standalone use); workers only record spans and rule timings
+        #: when it ``ships`` them, a flag that rides along on every spawn.
+        self.obs = obs or Obs(tracer, metrics, flightrec)
         self.wm = wm
         self.indexed = indexed
         #: Vectorized probe kernel in columnar workers. Requires the
@@ -479,17 +405,14 @@ class ProcessMatchPool:
         self._fault_events: List[FaultEvent] = []
         self._cycle = 0
         self._closed = False
-        #: Flight recorder (parent-owned). Each active site gets a
-        #: parent-created shared-memory ring; the spec rides along on every
-        #: (re)spawn so even a replacement worker journals into the *same*
-        #: ring — the parent can decode it after any SIGKILL.
-        self._flightrec = flightrec
-        self._flight_specs: Dict[int, Optional[Tuple[str, Dict[str, int]]]] = {}
-        if flightrec is not None:
-            for site in self.active_sites:
-                self._flight_specs[site] = flightrec.worker_spec(
-                    site, [r.name for r in self._site_rules[site]]
-                )
+        #: Flight-ring specs (``None`` without a recorder). Each active site
+        #: gets a parent-created shared-memory ring; the spec rides along on
+        #: every (re)spawn so even a replacement worker journals into the
+        #: *same* ring — the parent can decode it after any SIGKILL.
+        self._flight_specs = {
+            site: self.obs.worker_spec(site, [r.name for r in self._site_rules[site]])
+            for site in self.active_sites
+        }
         for site in self.active_sites:
             self._spawn(site)
 
@@ -502,10 +425,10 @@ class ProcessMatchPool:
             args=(
                 child_conn,
                 tuple(self._site_rules[site]),
-                self._obs,
+                self.obs.ships,
                 self.indexed,
                 self.vector,
-                self._flight_specs.get(site),
+                self._flight_specs[site],
             ),
             name=f"parulel-match-site{site}",
             daemon=True,
@@ -537,18 +460,9 @@ class ProcessMatchPool:
         event = FaultEvent(cycle=self._cycle, kind=kind, site=site, detail=detail)
         self._fault_events.append(event)
         # The pool is where these events originate, so it is the one place
-        # they become trace instants and fault-metric counts (the engine
-        # only attaches the drained events to its CycleReport).
-        if self.tracer.enabled:
-            self.tracer.instant(
-                kind, lane=f"worker-{site}", cycle=self._cycle, detail=detail
-            )
-        if self.metrics.enabled:
-            self.metrics.inc("parulel_fault_events_total", kind=kind)
-            if kind == "respawn":
-                self.metrics.inc("parulel_worker_respawns_total", site=site)
-        if self._flightrec is not None:
-            self._flightrec.record_fault(kind, site, self._cycle)
+        # they are emitted (the engine only attaches the drained events to
+        # its CycleReport).
+        self.obs.fault(kind, site, self._cycle, detail, lane=f"worker-{site}")
 
     def drain_fault_events(self) -> List[FaultEvent]:
         """Fault/recovery events since the last drain (engine hook)."""
@@ -601,33 +515,8 @@ class ProcessMatchPool:
         if tag == "err":
             raise MatchError(f"match worker for site {site} failed: {payload}")
         summaries, obs_payload = payload
-        self._ingest_obs(site, obs_payload)
-        if self.metrics.enabled:
-            self.metrics.inc("parulel_ipc_messages_total", direction="reply")
+        self.obs.reply(site, obs_payload)
         return summaries
-
-    def _ingest_obs(self, site: int, obs_payload: ObsPayload) -> None:
-        """Fold a worker's shipped spans and per-rule match times into the
-        parent tracer/registry, on the worker's own lane."""
-        if obs_payload is None:
-            return
-        events, rule_times, vec_stats = obs_payload
-        if self.tracer.enabled and events:
-            self.tracer.ingest(events, lane=f"worker-{site}")
-        if self.metrics.enabled:
-            for rule, seconds in rule_times:
-                self.metrics.observe(
-                    RULE_MATCH_SECONDS, seconds, rule=rule, site=site
-                )
-            if vec_stats is not None:
-                if vec_stats["scanned"]:
-                    self.metrics.inc(
-                        VECTOR_SCAN_ROWS, vec_stats["scanned"], site=site
-                    )
-                if vec_stats["fallback"]:
-                    self.metrics.inc(
-                        VECTOR_PROBE_FALLBACK, vec_stats["fallback"], site=site
-                    )
 
     def _probe(self, site: int) -> bool:
         """Ping/pong liveness probe: a healthy worker answers between
@@ -673,8 +562,7 @@ class ProcessMatchPool:
             self._record(
                 "breaker-close", site, detail="healthy reply at full isolation"
             )
-            if self.metrics.enabled:
-                self.metrics.set_gauge("parulel_site_mode", 0, site=site)
+            self.obs.site_mode(site, 0)
         return results
 
     def _budget_left(self, site: int) -> bool:
@@ -711,10 +599,7 @@ class ProcessMatchPool:
                 f"matched {where}"
             ),
         )
-        if self.metrics.enabled:
-            self.metrics.set_gauge(
-                "parulel_site_mode", self._sup.rung(site), site=site
-            )
+        self.obs.site_mode(site, self._sup.rung(site))
         return self._degraded_match(site)
 
     def _degraded_match(self, site: int) -> List[MatchSummary]:
@@ -767,10 +652,7 @@ class ProcessMatchPool:
         self._record(
             "promote", site, detail=f"cool-down elapsed; site back to {mode!r}"
         )
-        if self.metrics.enabled:
-            self.metrics.set_gauge(
-                "parulel_site_mode", self._sup.rung(site), site=site
-            )
+        self.obs.site_mode(site, self._sup.rung(site))
 
     def _parent_match(self, site: int) -> List[MatchSummary]:
         """Serial in-parent match of one (degraded) site's rules.
@@ -785,36 +667,14 @@ class ProcessMatchPool:
         if self.indexed and self._parent_alpha is None:
             self._parent_alpha = AlphaCache(self.wm)
             self._parent_alpha.attach()
-        out: List[MatchSummary] = []
-        obs = self.metrics.enabled
-        with self.tracer.span(
+        with self.obs.span(
             "match (degraded, in-parent)", lane=f"worker-{site}", cycle=self._cycle
         ):
-            for cr in compiled:
-                t0 = time.perf_counter() if obs else 0.0
-                for inst in enumerate_matches(
-                    cr,
-                    self.wm,
-                    alpha_source=self._parent_alpha,
-                    indexed=self.indexed,
-                ):
-                    out.append(
-                        (
-                            cr.name,
-                            tuple(
-                                w.timestamp if w is not None else 0
-                                for w in inst.wmes
-                            ),
-                            inst.env,
-                        )
-                    )
-                if obs:
-                    self.metrics.observe(
-                        RULE_MATCH_SECONDS,
-                        time.perf_counter() - t0,
-                        rule=cr.name,
-                        site=site,
-                    )
+            insts, times = self.obs.match_rules(
+                compiled, self.wm, self._parent_alpha, self.indexed
+            )
+            out = _summaries(insts)
+        self.obs.rule_times(site, times)
         return out
 
     def _respawn_and_match(self, site: int) -> List[MatchSummary]:
@@ -843,10 +703,7 @@ class ProcessMatchPool:
                     site,
                     detail=f"sleeping {decision.backoff:.3f}s before respawn",
                 )
-                if self.metrics.enabled:
-                    self.metrics.inc(
-                        "parulel_backoff_seconds_total", decision.backoff, site=site
-                    )
+                self.obs.backoff(site, decision.backoff)
                 time.sleep(decision.backoff)
             attempts += 1
             self._kill(site)
@@ -897,9 +754,8 @@ class ProcessMatchPool:
             )
             ok = self._try_send_bytes(site, blob)
             sent_bytes = len(blob) if ok else 0
-        if self.metrics.enabled and sent_bytes:
-            self.metrics.inc("parulel_ipc_messages_total", direction="request")
-            self.metrics.inc("parulel_ipc_bytes_total", sent_bytes, site=site)
+        if sent_bytes:
+            self.obs.request(site, sent_bytes)
         return ok
 
     def _inject_faults(self) -> None:
@@ -965,7 +821,6 @@ class ProcessMatchPool:
         # order (degraded sites are matched serially in-parent). Both modes
         # pickle each distinct message exactly once and ship the bytes, so
         # the IPC byte metrics count precisely what crossed the pipes.
-        metrics = self.metrics
         sent: Dict[int, bool] = {}
         if self._shared:
             # Columnar mode: the data already lives in shared memory. The
@@ -998,9 +853,8 @@ class ProcessMatchPool:
                     if ok:
                         site_bytes += len(match_blob)
                 sent[site] = ok
-                if ok and metrics.enabled:
-                    metrics.inc("parulel_ipc_messages_total", direction="request")
-                    metrics.inc("parulel_ipc_bytes_total", site_bytes, site=site)
+                if ok:
+                    self.obs.request(site, site_bytes)
         else:
             delta = self._recorder.drain()
             for wme in delta.adds:
@@ -1027,9 +881,8 @@ class ProcessMatchPool:
                     continue
                 ok = self._try_send_bytes(site, blob)
                 sent[site] = ok
-                if ok and metrics.enabled:
-                    metrics.inc("parulel_ipc_messages_total", direction="request")
-                    metrics.inc("parulel_ipc_bytes_total", len(blob), site=site)
+                if ok:
+                    self.obs.request(site, len(blob))
         merged: List[Instantiation] = []
         for site in self.active_sites:
             if site in self.degraded_sites:
@@ -1117,9 +970,7 @@ class ProcessMatcher(Matcher):
         respawn_limit: Optional[int] = None,
         fault_plan: Optional[FaultPlan] = None,
         supervisor: Optional[SupervisorPolicy] = None,
-        tracer=None,
-        metrics=None,
-        flightrec=None,
+        obs: Optional[Obs] = None,
         indexed: bool = True,
         vector_probe: bool = True,
     ) -> None:
@@ -1137,9 +988,7 @@ class ProcessMatcher(Matcher):
             respawn_limit=respawn_limit,
             fault_plan=fault_plan,
             supervisor=supervisor,
-            tracer=tracer,
-            metrics=metrics,
-            flightrec=flightrec,
+            obs=obs,
             indexed=indexed,
             vector_probe=vector_probe,
         )

@@ -15,18 +15,14 @@ it exists to exercise a genuine concurrent code path, not to win.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.lang.ast import Program, Rule
+from repro.lang.ast import Rule
 from repro.match.alphaindex import AlphaCache
 from repro.match.compile import CompiledRule, compile_rules
 from repro.match.instantiation import Instantiation
-from repro.match.join import enumerate_matches
-from repro.obs.metrics import NULL_METRICS
-from repro.obs.profile import RULE_MATCH_SECONDS
-from repro.obs.trace import NULL_TRACER
+from repro.obs.emit import Obs
 from repro.parallel.partition import Assignment, round_robin_assignment
 from repro.wm.memory import WorkingMemory
 
@@ -40,17 +36,17 @@ class ThreadedMatchPool:
     must not mutate it concurrently (the engines never do: match and apply
     are separate phases of the cycle).
 
-    With a ``tracer``/``metrics`` attached, each site's match runs under a
-    span on its own ``thread-<site>`` lane (the tracer is thread-safe, and
-    the lanes make the GIL serialization this module measures *visible*:
-    the spans overlap in wall-clock but their work interleaves).
-
-    With a ``flightrec`` attached, each site journals site-tagged
-    request/reply records straight into the *parent* ring (same process,
-    no shared-memory ring needed; the ring's append lock makes this
-    thread-safe). The skew report folds site-tagged parent-ring records
-    exactly like per-worker rings, so thread pools get busy-window
-    analytics for free.
+    Observability goes through ``obs`` (an :class:`~repro.obs.emit.Obs`,
+    or one wrapping the ``tracer``/``metrics``/``flightrec`` given). Each
+    site's match runs under a span on its own ``thread-<site>`` lane (the
+    tracer is thread-safe, and the lanes make the GIL serialization this
+    module measures *visible*: the spans overlap in wall-clock but their
+    work interleaves). With a flight recorder, each site journals
+    site-tagged request/reply records straight into the *parent* ring
+    (same process, no shared-memory ring needed; the ring's append lock
+    makes this thread-safe). The skew report folds site-tagged
+    parent-ring records exactly like per-worker rings, so thread pools get
+    busy-window analytics for free.
     """
 
     def __init__(
@@ -59,16 +55,15 @@ class ThreadedMatchPool:
         wm: WorkingMemory,
         n_threads: int,
         assignment: Optional[Assignment] = None,
+        obs: Optional[Obs] = None,
+        indexed: bool = True,
         tracer=None,
         metrics=None,
         flightrec=None,
-        indexed: bool = True,
     ) -> None:
         if n_threads < 1:
             raise ValueError("need at least one thread")
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else NULL_METRICS
-        self._flightrec = flightrec
+        self.obs = obs or Obs(tracer, metrics, flightrec)
         self._cycle = 0
         self.wm = wm
         self.indexed = indexed
@@ -93,35 +88,14 @@ class ThreadedMatchPool:
         self._pool = ThreadPoolExecutor(max_workers=max(1, len(self.active_sites)))
 
     def _match_site(self, site: int) -> List[Instantiation]:
-        out: List[Instantiation] = []
-        obs = self.metrics.enabled
-        fr = self._flightrec
-        if fr is not None:
-            # Literal kind codes: EV_MATCH_REQ/EV_MATCH_REPLY (22/25) —
-            # this module stays importable without repro.obs.flightrec.
-            fr.record(22, self._cycle, site=site)
-        with self.tracer.span(
-            "match", lane=f"thread-{site}", cycle=self._cycle
-        ):
-            for compiled in self._site_rules[site]:
-                t0 = time.perf_counter() if obs else 0.0
-                out.extend(
-                    enumerate_matches(
-                        compiled,
-                        self.wm,
-                        alpha_source=self._alpha,
-                        indexed=self.indexed,
-                    )
-                )
-                if obs:
-                    self.metrics.observe(
-                        RULE_MATCH_SECONDS,
-                        time.perf_counter() - t0,
-                        rule=compiled.name,
-                        site=site,
-                    )
-        if fr is not None:
-            fr.record(25, self._cycle, a=len(out), site=site)
+        obs, cycle = self.obs, self._cycle
+        obs.match_request(cycle, 0, site=site)
+        with obs.span("match", lane=f"thread-{site}", cycle=cycle):
+            out, times = obs.match_rules(
+                self._site_rules[site], self.wm, self._alpha, self.indexed
+            )
+        obs.rule_times(site, times)
+        obs.match_reply(cycle, len(out), site=site)
         return out
 
     def conflict_set(self) -> List[Instantiation]:

@@ -1,4 +1,4 @@
-"""Metrics registry: exact counts (threaded), merge, expositions."""
+"""Metrics registry: exact counts (threaded), worker payloads, expositions."""
 
 import json
 import pickle
@@ -11,6 +11,8 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NullMetrics,
 )
+from repro.obs.emit import Obs
+from repro.obs.profile import RULE_MATCH_SECONDS, VECTOR_SCAN_ROWS
 
 
 class TestBasics:
@@ -57,22 +59,26 @@ class TestBasics:
 
 class TestMergeAcrossProcesses:
     def test_merge_is_exact_and_pickle_safe(self):
-        parent = MetricsRegistry()
-        parent.inc("fired_total", 3, rule="a")
-        worker = MetricsRegistry()
-        worker.inc("fired_total", 4, rule="a")
-        worker.inc("fired_total", 1, rule="b")
-        worker.set_gauge("wm_size", 42)
-        worker.observe("match_seconds", 0.5, site=1)
+        # A worker ships (spans, per-rule match seconds, vector deltas) with
+        # each reply; the parent's emit point folds it into the registry.
+        worker = Obs.for_worker(True, None)
+        with worker.span("match", lane="worker"):
+            pass
+        vec = {"scanned": 7, "materialized": 1, "fallback": 0, "probes": 2}
+        payload = worker.payload([("a", 0.5), ("b", 0.25)], vec)
+        metrics = MetricsRegistry()
+        parent = Obs(metrics=metrics)
 
-        # The dump crosses a process boundary in real use.
-        dumped = pickle.loads(pickle.dumps(worker.dump()))
-        parent.merge(dumped)
+        # The payload crosses a process boundary in real use.
+        for _ in range(2):
+            parent.reply(1, pickle.loads(pickle.dumps(payload)))
 
-        assert parent.counter_value("fired_total", rule="a") == 7
-        assert parent.counter_value("fired_total", rule="b") == 1
-        assert parent.gauge_value("wm_size") == 42
-        assert parent.histogram_summary("match_seconds", site=1)["count"] == 1
+        a = metrics.histogram_summary(RULE_MATCH_SECONDS, rule="a", site=1)
+        assert (a["count"], a["sum"]) == (2, 1.0)
+        assert metrics.counter_value(VECTOR_SCAN_ROWS, site=1) == 14
+        assert metrics.counter_value(
+            "parulel_ipc_messages_total", direction="reply"
+        ) == 2
 
 
 class TestExposition:

@@ -45,13 +45,19 @@ class TestRecording:
         assert event[4] == {"detail": "injected"}
 
     def test_closed_spans_feed_the_phase_timer(self):
+        # Engine phases go through the emit point, which feeds one
+        # measurement to both the span and the PhaseTimer.
+        from repro.obs.emit import Obs
+
         tracer = Tracer()
-        with tracer.span("match"):
+        obs = Obs(tracer)
+        with obs.phase("match", "collect", 1):
             pass
-        with tracer.span("match"):
+        with obs.phase("match", "collect", 2):
             pass
-        assert tracer.timer.entries["match"] == 2
-        assert tracer.timer.seconds["match"] >= 0.0
+        assert obs.timer.entries["collect"] == 2
+        assert obs.timer.seconds["collect"] >= 0.0
+        assert [e[1] for e in tracer.events()] == ["match"] * 4
 
     def test_lanes_in_first_seen_order_and_declare_lane(self):
         tracer = Tracer()
@@ -75,8 +81,6 @@ class TestIngestion:
         events = parent.events()
         assert {e[2] for e in events} == {"worker-2"}
         assert events[0][4] == {"rules": 3}
-        # The ingested pair lands in the parent's aggregate timer too.
-        assert parent.timer.entries["match"] == 1
 
     def test_ingest_keeps_original_lane_when_not_rewritten(self):
         worker = Tracer()
@@ -208,7 +212,6 @@ class TestThreadSafety:
 
         events = tracer.events()
         assert len(events) == n_threads * spans_each * 2
-        assert tracer.timer.entries["work"] == n_threads * spans_each
         # Per-lane streams stay well-formed B/E sequences and the export
         # contract (strictly increasing ts, matched pairs) holds.
         validate_chrome_trace(tracer.to_chrome())
