@@ -73,6 +73,7 @@ import time
 from typing import Dict, List
 
 from repro.core import EngineConfig, ParulelEngine
+from repro.obs.emit import Obs
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel.process import ProcessMatchPool
 from repro.parallel.threaded import ThreadedMatchPool
@@ -146,7 +147,7 @@ def _run_pool(wl, tier_cfg: Dict, backend: str) -> Dict:
     load_s = time.perf_counter() - t0
     metrics = MetricsRegistry()
     pool = ProcessMatchPool(
-        wl.program.rules, wm, 2, metrics=metrics, timeout=300.0
+        wl.program.rules, wm, 2, obs=Obs(metrics=metrics), timeout=300.0
     )
     images: List[str] = []
     try:

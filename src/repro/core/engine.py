@@ -45,7 +45,7 @@ from repro.lang.ast import Program, Value
 from repro.match.instantiation import InstKey, Instantiation
 from repro.match.interface import Matcher, create_matcher
 from repro.obs.emit import Obs
-from repro.obs.flightrec import DEATH_KINDS, FlightRecorder
+from repro.obs.events import DEATH_KINDS
 from repro.wm.memory import WorkingMemory
 from repro.wm.template import TemplateRegistry
 from repro.wm.wme import WME
@@ -238,17 +238,17 @@ class ParulelEngine:
         #: The one observability emit point (:mod:`repro.obs.emit`), shared
         #: with the match backend: the tracer and metrics registry given
         #: here (no-op singletons by default) plus the always-on black-box
-        #: flight recorder (``None`` only with ``flight_recorder=False``).
-        self.obs = Obs(
-            tracer,
-            metrics,
-            FlightRecorder(
+        #: flight recorder (``None`` only with ``flight_recorder=False``,
+        #: in which case the shared-memory ring module is never imported).
+        recorder = None
+        if self.config.flight_recorder:
+            from repro.obs.flightrec import FlightRecorder
+
+            recorder = FlightRecorder(
                 [r.name for r in program.rules],
                 capacity=self.config.flight_capacity,
             )
-            if self.config.flight_recorder
-            else None,
-        )
+        self.obs = Obs(tracer, metrics, recorder)
         self.tracer, self.metrics = self.obs.tracer, self.obs.metrics
         self.flightrec = self.obs.flightrec
         self.wm = wm if wm is not None else _build_wm(self.config, program)

@@ -7,8 +7,9 @@ every execution substrate show its work:
 - :mod:`repro.obs.emit` — :class:`~repro.obs.emit.Obs`, the one emit
   point: the engine, the match pools, the distributed machine and each
   process worker report every event through one method per event kind,
-  and only that method knows which sinks below are attached (it also
-  holds the one instrumented per-site rule-match loop);
+  and only that method knows which sinks below are attached;
+- :mod:`repro.obs.events` — the flight-recorder record kinds and phase
+  codes, importable without shared memory;
 - :mod:`repro.obs.trace` — monotonic-clock spans and instants on named
   lanes (engine, worker processes, distributed sites, the simulated
   network), thread/process-safe, exported as Chrome trace-event JSON
@@ -63,9 +64,9 @@ __all__ = [
     "validate_chrome_trace",
 ]
 
-#: Flight-recorder names (and the emit point, which writes the rings)
-#: resolve lazily (PEP 562), so importing ``repro.obs`` alone never drags
-#: in ``multiprocessing.shared_memory``.
+#: Flight-recorder names (and the emit point) resolve lazily (PEP 562), so
+#: importing ``repro.obs`` alone never drags in
+#: ``multiprocessing.shared_memory``.
 _LAZY = {
     "Obs": "repro.obs.emit",
     "FlightRecorder": "repro.obs.flightrec",

@@ -17,7 +17,8 @@ attached:
 
 Tracer and metrics default to the no-op singletons and the ring to
 ``None``, so callers never check a sink: a detached one costs a branch
-here and nothing else.
+here and nothing else. Record kinds come from :mod:`repro.obs.events`;
+the shared-memory ring module is imported only where a ring is attached.
 
 Worker to parent: with each reply a process worker ships ``(span events,
 per-rule match seconds, vector-probe deltas)`` when the parent records
@@ -30,12 +31,10 @@ from __future__ import annotations
 import time
 from collections import Counter
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from repro.match.join import enumerate_matches
-from repro.match.instantiation import Instantiation
 from repro.metrics.timers import PhaseTimer
-from repro.obs.flightrec import (
+from repro.obs.events import (
     EV_CHECKPOINT,
     EV_CHURN,
     EV_CYCLE,
@@ -47,14 +46,10 @@ from repro.obs.flightrec import (
     EV_RACE,
     EV_REDACT,
     EV_REPLAY,
-    EV_RULE_BEGIN,
-    EV_RULE_END,
     EV_VECTOR_SCAN,
     EV_WORKER_EXIT,
     EV_WORKER_START,
     PHASE_CODES,
-    FlightRing,
-    default_blackbox_path,
 )
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.profile import (
@@ -71,6 +66,9 @@ from repro.obs.profile import (
     VECTOR_SCAN_ROWS,
 )
 from repro.obs.trace import NULL_TRACER, TraceEvent, Tracer
+
+if TYPE_CHECKING:
+    from repro.match.instantiation import Instantiation
 
 __all__ = ["Obs", "ObsPayload"]
 
@@ -90,14 +88,10 @@ class Obs:
         tracer=None,
         metrics=None,
         flightrec=None,
-        rule_ids: Optional[Mapping[str, int]] = None,
     ) -> None:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.flightrec = flightrec
-        #: A worker ring's rule-id map (shipped with its spec); the
-        #: parent's recorder assigns ids itself.
-        self._rule_ids = rule_ids
         self.timer = PhaseTimer()
         #: Process workers record spans and rule timings, and ship them
         #: back, only when the parent has a sink for them.
@@ -112,24 +106,21 @@ class Obs:
         """A worker's emit point: a local tracer when the parent wants
         spans, and the parent-created ring named by ``flight`` (attached
         best-effort — a worker that cannot map it runs unrecorded)."""
-        ring = rule_ids = None
+        ring = None
         if flight is not None:
+            from repro.obs.flightrec import FlightRing
+
             try:
-                ring, rule_ids = FlightRing.attach(flight[0]), flight[1]
+                ring = FlightRing.attach(flight[0])
             except Exception:  # noqa: BLE001 - recording is best-effort
                 pass
-        return cls(Tracer() if ships else None, flightrec=ring, rule_ids=rule_ids)
+        return cls(Tracer() if ships else None, flightrec=ring)
 
     def _ring(self, kind: int, cycle: int, code: int = 0, a: int = 0, b: int = 0,
               site: Optional[int] = None) -> None:
         fr = self.flightrec
         if fr is not None:
             fr.record(kind, cycle, code, a, b, site)
-
-    def _rule_id(self, rule: str) -> int:
-        if self._rule_ids is not None:
-            return self._rule_ids.get(rule, 0)
-        return self.flightrec.rule_id(rule)
 
     # -- engine cycle ------------------------------------------------------
 
@@ -198,7 +189,7 @@ class Obs:
             self.metrics.observe(RULE_EVAL_SECONDS, ns / 1e9, rule=rule)
         fr = self.flightrec
         if fr is not None:
-            fr.record(EV_FIRE, cycle, self._rule_id(rule), ns)
+            fr.record(EV_FIRE, cycle, fr.rule_id(rule), ns)
 
     def replay(self) -> None:
         """One sanitizer shadow replay; flushed per cycle as one
@@ -209,8 +200,9 @@ class Obs:
         self.metrics.inc(SANITIZER_REPLAYS)
 
     def race(self, cycle: int, rule_a: str, rule_b: str) -> None:
-        if self.flightrec is not None:
-            self._ring(EV_RACE, cycle, self._rule_id(rule_a), self._rule_id(rule_b))
+        fr = self.flightrec
+        if fr is not None:
+            fr.record(EV_RACE, cycle, fr.rule_id(rule_a), fr.rule_id(rule_b))
 
     def cycle(self, report, wm) -> None:
         """A finished cycle: firing and delta counts (cycles that fired),
@@ -287,28 +279,6 @@ class Obs:
             for rule, seconds in times:
                 self.metrics.observe(RULE_MATCH_SECONDS, seconds, rule=rule, site=site)
 
-    def match_rules(self, compiled, wm, alpha_source, indexed: bool, cycle: int = 0,
-                    bracket: bool = False) -> Tuple[List[Instantiation], List[Tuple[str, float]]]:
-        """The one per-site rule-match loop (process workers, degraded
-        sites, the threaded pool): every instantiation of ``compiled`` in
-        rule order, plus each rule's match seconds. With ``bracket`` (the
-        workers) each rule sits between ``EV_RULE_BEGIN``/``EV_RULE_END``
-        records, so a SIGKILL mid-rule leaves an unmatched BEGIN in the
-        shared ring — what the post-mortem "last in-flight rule" reads."""
-        ring = self.flightrec if bracket else None
-        out: List[Instantiation] = []
-        times: List[Tuple[str, float]] = []
-        for cr in compiled:
-            t0 = time.perf_counter()
-            if ring is not None:
-                rid, n0 = self._rule_id(cr.name), len(out)
-                ring.record(EV_RULE_BEGIN, cycle, rid)
-            out.extend(enumerate_matches(cr, wm, alpha_source=alpha_source, indexed=indexed))
-            if ring is not None:
-                ring.record(EV_RULE_END, cycle, rid, len(out) - n0)
-            times.append((cr.name, time.perf_counter() - t0))
-        return out, times
-
     def match_request(self, cycle: int, deltas: int, site: Optional[int] = None) -> None:
         self._ring(EV_MATCH_REQ, cycle, a=deltas, site=site)
 
@@ -370,6 +340,8 @@ class Obs:
         recorder."""
         if self.flightrec is None:
             return None
+        from repro.obs.flightrec import default_blackbox_path
+
         path = path or default_blackbox_path()
         self.flightrec.dump(path, reason=reason, info=info)
         return path

@@ -153,23 +153,22 @@ class DistributedMachine:
         dedupe_makes: bool = True,
         multicast: bool = False,
         fault_plan: Optional[FaultPlan] = None,
-        obs: Optional[Obs] = None,
-        indexed: bool = True,
         tracer=None,
         metrics=None,
+        indexed: bool = True,
     ) -> None:
         if n_sites < 1:
             raise ValueError("need at least one site")
         self.program = program
         self.n_sites = n_sites
-        #: Observability (``obs``, or one wrapping the ``tracer`` and
-        #: ``metrics`` given). The machine has no wall clock of its own —
+        #: Observability: one emit point wrapping the ``tracer`` and
+        #: ``metrics`` given. The machine has no wall clock of its own —
         #: everything is cost-model ticks — so its trace is a *virtual*
         #: timeline: one tick renders as one microsecond, each site is a
         #: lane (``site-0`` doubles as the master) and the
         #: :class:`NetworkModel` charges appear as spans on a ``network``
         #: lane. Fault injections/recoveries land as instants.
-        self.obs = obs or Obs(tracer, metrics)
+        self.obs = Obs(tracer, metrics)
         self._vclock_us = 0.0
         for lane in [f"site-{s}" for s in range(n_sites)] + ["network"]:
             self.obs.tracer.declare_lane(lane)

@@ -80,7 +80,9 @@ from repro.match.alphaindex import AlphaCache, ColumnVectorCache
 from repro.match.compile import CompiledRule, compile_rules
 from repro.match.instantiation import ConflictSet, Instantiation
 from repro.match.interface import Matcher
+from repro.match.join import enumerate_matches
 from repro.obs.emit import Obs
+from repro.obs.events import EV_RULE_BEGIN, EV_RULE_END
 from repro.parallel.partition import Assignment, resolve_assignment
 from repro.resilience.supervisor import SiteSupervisor, SupervisorPolicy
 from repro.wm.columnar import ColumnarReader, ColumnarWorkingMemory
@@ -126,6 +128,35 @@ def _summaries(insts: List[Instantiation]) -> List[MatchSummary]:
         )
         for inst in insts
     ]
+
+
+def match_rules(
+    compiled: Sequence[CompiledRule],
+    wm: WorkingMemory,
+    alpha_source,
+    indexed: bool,
+    ring=None,
+    rule_ids: Optional[Dict[str, int]] = None,
+    cycle: int = 0,
+) -> Tuple[List[Instantiation], List[Tuple[str, float]]]:
+    """The one per-site rule-match loop (process workers, degraded sites,
+    the threaded pool): every instantiation of ``compiled`` in rule order,
+    plus each rule's match seconds. With a worker's shared ``ring`` (and
+    its ``rule_ids`` map) each rule sits between ``EV_RULE_BEGIN`` and
+    ``EV_RULE_END`` records, so a SIGKILL mid-rule leaves an unmatched
+    BEGIN in the ring — what the post-mortem "last in-flight rule" reads."""
+    out: List[Instantiation] = []
+    times: List[Tuple[str, float]] = []
+    for cr in compiled:
+        t0 = time.perf_counter()
+        if ring is not None:
+            rid, n0 = rule_ids.get(cr.name, 0), len(out)
+            ring.record(EV_RULE_BEGIN, cycle, rid)
+        out.extend(enumerate_matches(cr, wm, alpha_source=alpha_source, indexed=indexed))
+        if ring is not None:
+            ring.record(EV_RULE_END, cycle, rid, len(out) - n0)
+        times.append((cr.name, time.perf_counter() - t0))
+    return out, times
 
 
 def _worker_main(
@@ -182,6 +213,7 @@ def _worker_main(
     the same ring and continues the sequence.
     """
     obs = Obs.for_worker(ships, flight)
+    rule_ids = flight[1] if flight is not None else None
     obs.worker_start(os.getpid())
     compiled = compile_rules(rules)
     wm = WorkingMemory()
@@ -266,8 +298,8 @@ def _worker_main(
                             WMDelta.apply_wire(wm, by_ts, wire)
             alpha_source = vcache if vcache is not None else ensure_alpha()
             with obs.span("match", lane="worker", cycle=cycle, rules=len(compiled)):
-                insts, rule_times = obs.match_rules(
-                    compiled, wm, alpha_source, indexed, cycle, bracket=True
+                insts, rule_times = match_rules(
+                    compiled, wm, alpha_source, indexed, obs.flightrec, rule_ids, cycle
                 )
                 out = _summaries(insts)
             vec_stats: Optional[Dict[str, int]] = None
@@ -314,9 +346,6 @@ class ProcessMatchPool:
         obs: Optional[Obs] = None,
         indexed: bool = True,
         vector_probe: bool = True,
-        tracer=None,
-        metrics=None,
-        flightrec=None,
     ) -> None:
         if n_workers < 1:
             raise ValueError("need at least one worker")
@@ -328,10 +357,10 @@ class ProcessMatchPool:
             raise ValueError("timeout must be > 0 seconds")
         if respawn_limit is not None and respawn_limit < 0:
             raise ValueError("respawn_limit must be >= 0 (None for unlimited)")
-        #: The emit point (the engine's, or one wrapping the sinks given
-        #: for standalone use); workers only record spans and rule timings
-        #: when it ``ships`` them, a flag that rides along on every spawn.
-        self.obs = obs or Obs(tracer, metrics, flightrec)
+        #: The emit point (the engine's; a detached one for standalone
+        #: use); workers only record spans and rule timings when it
+        #: ``ships`` them, a flag that rides along on every spawn.
+        self.obs = obs or Obs()
         self.wm = wm
         self.indexed = indexed
         #: Vectorized probe kernel in columnar workers. Requires the
@@ -670,7 +699,7 @@ class ProcessMatchPool:
         with self.obs.span(
             "match (degraded, in-parent)", lane=f"worker-{site}", cycle=self._cycle
         ):
-            insts, times = self.obs.match_rules(
+            insts, times = match_rules(
                 compiled, self.wm, self._parent_alpha, self.indexed
             )
             out = _summaries(insts)

@@ -24,6 +24,7 @@ from repro.match.compile import CompiledRule, compile_rules
 from repro.match.instantiation import Instantiation
 from repro.obs.emit import Obs
 from repro.parallel.partition import Assignment, round_robin_assignment
+from repro.parallel.process import match_rules
 from repro.wm.memory import WorkingMemory
 
 __all__ = ["ThreadedMatchPool"]
@@ -36,9 +37,8 @@ class ThreadedMatchPool:
     must not mutate it concurrently (the engines never do: match and apply
     are separate phases of the cycle).
 
-    Observability goes through ``obs`` (an :class:`~repro.obs.emit.Obs`,
-    or one wrapping the ``tracer``/``metrics``/``flightrec`` given). Each
-    site's match runs under a span on its own ``thread-<site>`` lane (the
+    Observability goes through one :class:`~repro.obs.emit.Obs` wrapping
+    the ``tracer``/``metrics``/``flightrec`` given. Each site's match runs under a span on its own ``thread-<site>`` lane (the
     tracer is thread-safe, and the lanes make the GIL serialization this
     module measures *visible*: the spans overlap in wall-clock but their
     work interleaves). With a flight recorder, each site journals
@@ -55,15 +55,14 @@ class ThreadedMatchPool:
         wm: WorkingMemory,
         n_threads: int,
         assignment: Optional[Assignment] = None,
-        obs: Optional[Obs] = None,
-        indexed: bool = True,
         tracer=None,
         metrics=None,
         flightrec=None,
+        indexed: bool = True,
     ) -> None:
         if n_threads < 1:
             raise ValueError("need at least one thread")
-        self.obs = obs or Obs(tracer, metrics, flightrec)
+        self.obs = Obs(tracer, metrics, flightrec)
         self._cycle = 0
         self.wm = wm
         self.indexed = indexed
@@ -91,7 +90,7 @@ class ThreadedMatchPool:
         obs, cycle = self.obs, self._cycle
         obs.match_request(cycle, 0, site=site)
         with obs.span("match", lane=f"thread-{site}", cycle=cycle):
-            out, times = obs.match_rules(
+            out, times = match_rules(
                 self._site_rules[site], self.wm, self._alpha, self.indexed
             )
         obs.rule_times(site, times)

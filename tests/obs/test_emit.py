@@ -7,8 +7,6 @@ nothing but a branch when a sink is detached.
 
 from types import SimpleNamespace
 
-from repro.lang.parser import parse_program
-from repro.match.compile import compile_rules
 from repro.obs import MetricsRegistry, Tracer, validate_chrome_trace
 from repro.obs.emit import Obs
 from repro.obs.flightrec import (
@@ -19,17 +17,13 @@ from repro.obs.flightrec import (
     EV_HALT,
     EV_PHASE,
     EV_REPLAY,
-    EV_RULE_BEGIN,
-    EV_RULE_END,
     PHASE_CODES,
     FlightRecorder,
-    FlightRing,
     decode_ring,
 )
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.profile import PHASE_SECONDS, RULE_EVAL_SECONDS, RULE_MATCH_SECONDS
 from repro.obs.trace import NULL_TRACER
-from repro.wm.memory import WorkingMemory
 
 TC_SRC = """
 (literalize edge src dst)
@@ -183,43 +177,7 @@ class TestFault:
         assert event[3] == tracer.origin_ns + 4000
 
 
-class TestSiteMatch:
-    def _fixture(self):
-        compiled = compile_rules(parse_program(TC_SRC).rules)
-        wm = WorkingMemory()
-        for i in range(3):
-            wm.make("edge", src=f"n{i}", dst=f"n{i + 1}")
-        return compiled, wm
-
-    def test_match_rules_times_each_rule_in_order(self):
-        compiled, wm = self._fixture()
-        insts, times = Obs().match_rules(compiled, wm, None, True)
-        assert [name for name, _ in times] == ["tc-init", "tc-extend"]
-        assert all(seconds >= 0.0 for _, seconds in times)
-        assert len(insts) == 3
-        assert {i.rule.name for i in insts} == {"tc-init"}
-
-    def test_bracketed_match_pairs_begin_and_end_per_rule(self):
-        compiled, wm = self._fixture()
-        ring = FlightRing(capacity=64, shared=False)
-        try:
-            obs = Obs(flightrec=ring, rule_ids={"tc-init": 0, "tc-extend": 1})
-            obs.match_rules(compiled, wm, None, True, cycle=5, bracket=True)
-            recs = [
-                (r["kind"], r["cycle"], r["code"], r["a"])
-                for r in decode_ring(ring.snapshot())["records"]
-            ]
-            assert recs == [
-                (EV_RULE_BEGIN, 5, 0, 0), (EV_RULE_END, 5, 0, 3),
-                (EV_RULE_BEGIN, 5, 1, 0), (EV_RULE_END, 5, 1, 0),
-            ]
-            # Without ``bracket`` (threaded pool, degraded sites) the
-            # ring is left alone.
-            obs.match_rules(compiled, wm, None, True, cycle=6)
-            assert ring.seq == 4
-        finally:
-            ring.close()
-
+class TestIPC:
     def test_request_and_reply_count_ipc_and_fold_rule_times(self):
         metrics = MetricsRegistry()
         obs = Obs(metrics=metrics)

@@ -8,11 +8,14 @@ import pytest
 from repro.core import EngineConfig, ParulelEngine
 from repro.errors import MatchError
 from repro.lang.parser import parse_program
+from repro.match.compile import compile_rules
 from repro.match.interface import MATCHER_NAMES, create_matcher
+from repro.obs.flightrec import EV_RULE_BEGIN, EV_RULE_END, FlightRing, decode_ring
 from repro.parallel.process import (
     ProcessMatchPool,
     ProcessMatcher,
     default_worker_count,
+    match_rules,
 )
 from repro.wm.memory import WorkingMemory
 
@@ -33,6 +36,43 @@ def load(wm, n=6):
 
 def keys(insts):
     return sorted(i.key for i in insts)
+
+
+class TestSiteMatch:
+    """The one per-site rule-match loop (workers, degraded sites, the
+    threaded pool)."""
+
+    def _fixture(self):
+        compiled = compile_rules(parse_program(SRC).rules)
+        wm = WorkingMemory()
+        load(wm, n=3)
+        return compiled, wm
+
+    def test_match_rules_times_each_rule_in_order(self):
+        compiled, wm = self._fixture()
+        insts, times = match_rules(compiled, wm, None, True)
+        assert [name for name, _ in times] == ["j0", "j1", "j2", "neg"]
+        assert all(seconds >= 0.0 for _, seconds in times)
+        assert [i.rule.name for i in insts] == ["j0"] * 3 + ["j1"] * 3 + ["j2"] * 3
+
+    def test_ring_brackets_each_rule_with_begin_and_end(self):
+        compiled, wm = self._fixture()
+        ring = FlightRing(capacity=64, shared=False)
+        try:
+            rule_ids = {"j0": 0, "j1": 1, "j2": 2, "neg": 3}
+            match_rules(compiled, wm, None, True, ring, rule_ids, cycle=5)
+            recs = [
+                (r["kind"], r["cycle"], r["code"], r["a"])
+                for r in decode_ring(ring.snapshot())["records"]
+            ]
+            assert recs == [
+                (EV_RULE_BEGIN, 5, 0, 0), (EV_RULE_END, 5, 0, 3),
+                (EV_RULE_BEGIN, 5, 1, 0), (EV_RULE_END, 5, 1, 3),
+                (EV_RULE_BEGIN, 5, 2, 0), (EV_RULE_END, 5, 2, 3),
+                (EV_RULE_BEGIN, 5, 3, 0), (EV_RULE_END, 5, 3, 0),
+            ]
+        finally:
+            ring.close()
 
 
 class TestProcessMatchPool:

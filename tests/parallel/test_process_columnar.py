@@ -18,6 +18,7 @@ from repro.core import EngineConfig, ParulelEngine
 from repro.faults import FaultPlan, WorkerKill
 from repro.lang.parser import parse_program
 from repro.match.interface import create_matcher
+from repro.obs.emit import Obs
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel.process import ProcessMatchPool
 from repro.programs import REGISTRY
@@ -195,7 +196,7 @@ class TestVectorProbe:
                 load(wm)
                 metrics = MetricsRegistry()
                 with ProcessMatchPool(
-                    prog.rules, wm, 2, metrics=metrics, vector_probe=vector
+                    prog.rules, wm, 2, obs=Obs(metrics=metrics), vector_probe=vector
                 ) as pool:
                     pool.conflict_set()
                     wm.make("a0", k=1)
@@ -227,7 +228,7 @@ class TestByteAccounting:
                 block = wl.load(wm)
                 metrics = MetricsRegistry()
                 with ProcessMatchPool(
-                    wl.program.rules, wm, 2, metrics=metrics
+                    wl.program.rules, wm, 2, obs=Obs(metrics=metrics)
                 ) as pool:
                     imgs = [keys(pool.conflict_set())]
                     for step in range(3):
@@ -254,7 +255,7 @@ class TestByteAccounting:
         load(shadow)
         shadow_recorder = DeltaRecorder(shadow)
         metrics = MetricsRegistry()
-        with ProcessMatchPool(prog.rules, wm, 1, metrics=metrics) as pool:
+        with ProcessMatchPool(prog.rules, wm, 1, obs=Obs(metrics=metrics)) as pool:
             pool.conflict_set()
             expected = len(
                 pickle.dumps(
@@ -272,7 +273,7 @@ class TestByteAccounting:
         try:
             load(wm)
             metrics = MetricsRegistry()
-            with ProcessMatchPool(prog.rules, wm, 1, metrics=metrics) as pool:
+            with ProcessMatchPool(prog.rules, wm, 1, obs=Obs(metrics=metrics)) as pool:
                 # Drain structural dirt first so the expected cursor-only
                 # message below matches what the pool will ship.
                 wm.cycle_info()
