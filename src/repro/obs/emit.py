@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.metrics.timers import PhaseTimer
 from repro.obs.events import (
@@ -127,24 +126,13 @@ class Obs:
     def span(self, name: str, lane: str = "engine", **args: Any):
         return self.tracer.span(name, lane, **args)
 
-    @contextmanager
-    def phase(self, name: str, key: str, cycle: int, **args: Any) -> Iterator[None]:
+    def phase(self, name: str, key: str, cycle: int, **args: Any) -> "_Phase":
         """One engine phase, measured once: a span ``name`` (paper
         vocabulary — match/redact/act/merge) on the engine lane,
         ``phase_times[key]`` (historical keys — collect/redact/evaluate/
         apply), a :data:`PHASE_SECONDS` observation, an ``EV_PHASE``
         record."""
-        span = self.tracer.span(name, "engine", cycle=cycle, **args)
-        span.__enter__()
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - t0
-            span.__exit__(None, None, None)
-            self.timer.add(key, elapsed)
-            self.metrics.observe(PHASE_SECONDS, elapsed, phase=key)
-            self._ring(EV_PHASE, cycle, PHASE_CODES.get(name, 0), int(elapsed * 1e9))
+        return _Phase(self, name, key, cycle, args)
 
     def churn(self, cycle: int, instantiations: int, candidates: int) -> None:
         self._ring(EV_CHURN, cycle, a=instantiations, b=candidates)
@@ -349,3 +337,36 @@ class Obs:
     def close(self) -> None:
         if self.flightrec is not None:
             self.flightrec.close()
+
+
+class _Phase:
+    """The context manager behind :meth:`Obs.phase`: one ``perf_counter``
+    pair per phase, fanned out on exit. A slotted class rather than a
+    generator, and the span built only when tracing, because the engine
+    enters four of these every cycle."""
+
+    __slots__ = ("_obs", "_name", "_key", "_cycle", "_span", "_t0")
+
+    def __init__(self, obs: Obs, name: str, key: str, cycle: int,
+                 args: Dict[str, Any]) -> None:
+        self._obs, self._name, self._key, self._cycle = obs, name, key, cycle
+        tracer = obs.tracer
+        self._span = (
+            tracer.span(name, "engine", cycle=cycle, **args) if tracer.enabled else None
+        )
+
+    def __enter__(self) -> None:
+        if self._span is not None:
+            self._span.__enter__()
+        self._t0 = time.perf_counter()
+
+    def __exit__(self, *exc: object) -> None:
+        elapsed = time.perf_counter() - self._t0
+        obs = self._obs
+        if self._span is not None:
+            self._span.__exit__(*exc)
+        obs.timer.add(self._key, elapsed)
+        if obs.metrics.enabled:
+            obs.metrics.observe(PHASE_SECONDS, elapsed, phase=self._key)
+        obs._ring(EV_PHASE, self._cycle, PHASE_CODES.get(self._name, 0),
+                  int(elapsed * 1e9))
