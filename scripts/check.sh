@@ -9,6 +9,7 @@
 #                               # recovery bug from hanging the gate)
 #   scripts/check.sh --bench    # additionally regenerate the experiment
 #                               # tables/figures under benchmarks/results/
+#                               # and fail if a simulated-tick table changed
 #   scripts/check.sh --resilience  # additionally run the live-recovery
 #                               # chaos differential (seeded SIGKILLs +
 #                               # checkpoint truncation + segment unlinks
@@ -165,6 +166,12 @@ fi
 if [[ "${1:-}" == "--bench" ]]; then
     echo "== experiment suite (regenerates benchmarks/results/)"
     python -m pytest benchmarks/ -q --benchmark-only
+    echo "== simulated-tick results unchanged"
+    # These tables are cost-model ticks, deterministic, so any change is a
+    # behaviour change: fail on it. Wall-clock tables stay advisory. After
+    # an intentional cost-model change, commit the regenerated tables.
+    git diff --exit-code -- \
+        benchmarks/results/{fig1_speedup,fig2_copy_constrain,fig5_distributed,fig6_faults,ablation1_partition,ablation4_multicast,ablation6_analysis_partition}.{csv,txt}
 fi
 
 echo "check.sh: all gates passed"

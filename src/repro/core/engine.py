@@ -231,6 +231,7 @@ class ParulelEngine:
         trace: Optional[Callable[[CycleReport], None]] = None,
         tracer=None,
         metrics=None,
+        matcher: Optional[Matcher] = None,
     ) -> None:
         analyze_program(program)
         self.program = program
@@ -253,26 +254,30 @@ class ParulelEngine:
         self.flightrec = self.obs.flightrec
         self.wm = wm if wm is not None else _build_wm(self.config, program)
         self.evaluator = ActionEvaluator(host_functions)
-        matcher_options: Dict[str, Any] = {}
-        if self.config.matcher_timeout is not None:
-            matcher_options["timeout"] = self.config.matcher_timeout
-        if self.config.respawn_limit is not None:
-            matcher_options["respawn_limit"] = self.config.respawn_limit
-        if self.config.fault_plan is not None:
-            matcher_options["fault_plan"] = self.config.fault_plan
-        if self.config.supervisor is not None:
-            matcher_options["supervisor"] = self.config.supervisor
-        if self.config.assignment is not None:
-            matcher_options["assignment"] = self.config.assignment
-        self.matcher: Matcher = create_matcher(
-            self.config.matcher,
-            program.rules,
-            self.wm,
-            indexed=self.config.indexed_match,
-            vector_probe=self.config.vector_probe,
-            obs=self.obs,
-            **matcher_options,
-        )
+        # A caller that passes ``matcher`` built it over ``wm`` itself (the
+        # cost-model machines pass their site-partitioned matcher).
+        if matcher is None:
+            matcher_options: Dict[str, Any] = {}
+            if self.config.matcher_timeout is not None:
+                matcher_options["timeout"] = self.config.matcher_timeout
+            if self.config.respawn_limit is not None:
+                matcher_options["respawn_limit"] = self.config.respawn_limit
+            if self.config.fault_plan is not None:
+                matcher_options["fault_plan"] = self.config.fault_plan
+            if self.config.supervisor is not None:
+                matcher_options["supervisor"] = self.config.supervisor
+            if self.config.assignment is not None:
+                matcher_options["assignment"] = self.config.assignment
+            matcher = create_matcher(
+                self.config.matcher,
+                program.rules,
+                self.wm,
+                indexed=self.config.indexed_match,
+                vector_probe=self.config.vector_probe,
+                obs=self.obs,
+                **matcher_options,
+            )
+        self.matcher: Matcher = matcher
         self.meta = MetaLevel(
             program.meta_rules,
             self.wm,
@@ -403,68 +408,47 @@ class ParulelEngine:
             # Deterministic engine + unchanged WM ⇒ the next cycle would be
             # identical. Record the cycle and stop.
             self._redaction_quiescent = True
-            return self._emit(
-                CycleReport(
-                    cycle=self._cycle,
-                    conflict_set_size=len(all_insts),
-                    candidates=len(candidates),
-                    redaction=red_report,
-                    fired=0,
-                    delta_removes=0,
-                    delta_makes=0,
-                    conflicts_resolved=0,
-                    makes_deduped=0,
-                    writes=meta_writes,
-                    halted=self.meta.halt_requested,
-                    fault_events=cycle_faults,
+            merged = CycleDelta()
+        else:
+            # Evaluate every survivor against the pre-firing snapshot.
+            deltas: List[InstantiationDelta] = []
+            with obs.phase("act", "evaluate", cycle_no, firing_set=len(survivors)):
+                perf_ns = time.perf_counter_ns
+                for inst in survivors:
+                    self.fired.add(inst.key)
+                    self._fired_log.append(inst.key)
+                    t0 = perf_ns()
+                    deltas.append(self.evaluator.evaluate(inst))
+                    obs.fire(cycle_no, inst.rule.name, perf_ns() - t0)
+
+            if self.config.sanitize_races and len(deltas) > 1:
+                self._sanitize_races(deltas)
+
+            with obs.phase("merge", "apply", cycle_no, deltas=len(deltas)):
+                merged = merge_deltas(
+                    deltas,
+                    policy=self.config.interference,
+                    dedupe_makes=self.config.dedupe_makes,
                 )
-            )
+                self._apply(merged, deltas)
 
-        # Evaluate every survivor against the pre-firing snapshot.
-        deltas: List[InstantiationDelta] = []
-        with obs.phase("act", "evaluate", cycle_no, firing_set=len(survivors)):
-            perf_ns = time.perf_counter_ns
-            for inst in survivors:
-                self.fired.add(inst.key)
-                self._fired_log.append(inst.key)
-                t0 = perf_ns()
-                deltas.append(self.evaluator.evaluate(inst))
-                obs.fire(cycle_no, inst.rule.name, perf_ns() - t0)
-
-        if self.config.sanitize_races and len(deltas) > 1:
-            self._sanitize_races(deltas)
-
-        with obs.phase("merge", "apply", cycle_no, deltas=len(deltas)):
-            merged = merge_deltas(
-                deltas,
-                policy=self.config.interference,
-                dedupe_makes=self.config.dedupe_makes,
-            )
-            self._apply(merged, deltas)
-
-        halted = merged.halt or self.meta.halt_requested
         self.output.extend(merged.writes)
-        return self._emit(
-            CycleReport(
-                cycle=self._cycle,
-                conflict_set_size=len(all_insts),
-                candidates=len(candidates),
-                redaction=red_report,
-                fired=len(survivors),
-                delta_removes=len(merged.removes),
-                delta_makes=len(merged.makes),
-                conflicts_resolved=merged.conflicts_resolved,
-                makes_deduped=merged.makes_deduped,
-                writes=meta_writes + list(merged.writes),
-                halted=halted,
-                fault_events=cycle_faults,
-            )
+        report = CycleReport(
+            cycle=self._cycle,
+            conflict_set_size=len(all_insts),
+            candidates=len(candidates),
+            redaction=red_report,
+            fired=len(survivors),
+            delta_removes=len(merged.removes),
+            delta_makes=len(merged.makes),
+            conflicts_resolved=merged.conflicts_resolved,
+            makes_deduped=merged.makes_deduped,
+            writes=meta_writes + list(merged.writes),
+            halted=merged.halt or self.meta.halt_requested,
+            fault_events=cycle_faults,
         )
-
-    def _emit(self, report: CycleReport) -> CycleReport:
-        """The ONLY path a :class:`CycleReport` leaves the engine by:
-        records it, applies its halt flag, and invokes the trace callback
-        exactly once — whatever branch of the cycle produced it."""
+        # The one path a report leaves the engine by: recorded, its halt
+        # flag applied, the trace callback invoked exactly once.
         self.obs.cycle(report, self.wm)
         self.reports.append(report)
         if report.halted:
@@ -600,71 +584,55 @@ class ParulelEngine:
         """Run to quiescence / halt; raise
         :class:`~repro.errors.CycleLimitExceeded` past the cycle budget."""
         limit = max_cycles if max_cycles is not None else self.config.max_cycles
-        start_cycle = self._cycle
-        start_report = len(self.reports)
-        start_output = len(self.output)
+        # Where this call's slices of the cumulative logs begin.
+        start = (
+            self._cycle, len(self.reports), len(self.output), Counter(self.phase_times)
+        )
         wall0 = time.perf_counter()
-        reason = "quiescence"
-        with self.obs.span("run", start_cycle=start_cycle):
-            try:
-                reason = self._run_loop(
-                    limit, start_cycle, start_report, start_output, wall0
-                )
-            except CycleLimitExceeded as exc:
-                # step() already dumps for exceptions raised inside a
-                # cycle; the limit is raised by the loop itself.
-                self._dump_blackbox(f"CycleLimitExceeded: {exc}")
-                raise
-        wall = time.perf_counter() - wall0
-        run_reports = self.reports[start_report:]
+        with self.obs.span("run", start_cycle=self._cycle):
+            while True:
+                if self._cycle - start[0] >= limit:
+                    partial = self._run_result(start, "cycle-limit", wall0)
+                    exc = CycleLimitExceeded(
+                        f"exceeded {limit} cycles; the rule program likely does "
+                        f"not terminate",
+                        cycles_completed=partial.cycles,
+                        firings=partial.firings,
+                        last_report=partial.reports[-1] if partial.reports else None,
+                        partial=partial,
+                    )
+                    # step() dumps for exceptions raised inside a cycle; the
+                    # limit is raised here.
+                    self._dump_blackbox(f"CycleLimitExceeded: {exc}")
+                    raise exc
+                report = self.step()
+                if report is not None and report.halted:
+                    reason = "halt"
+                    break
+                if report is None or not report.fired:
+                    # A cycle that fired nothing made the engine
+                    # redaction-quiescent.
+                    quiet = self._redaction_quiescent
+                    reason = "redaction-quiescence" if quiet else "quiescence"
+                    break
+        return self._run_result(start, reason, wall0)
+
+    def _run_result(self, start: tuple, reason: str, wall0: float) -> RunResult:
+        """This call's slice of the cycle count, reports, output and phase
+        times since ``start``."""
+        start_cycle, start_report, start_output, start_phases = start
+        reports = self.reports[start_report:]
+        phase_times = Counter(self.phase_times)
+        phase_times.subtract(start_phases)
         return RunResult(
             cycles=self._cycle - start_cycle,
-            firings=sum(r.fired for r in run_reports),
+            firings=sum(r.fired for r in reports),
             reason=reason,
             output=self.output[start_output:],
-            reports=run_reports,
-            wall_time=wall,
-            phase_times=Counter(self.phase_times),
+            reports=reports,
+            wall_time=time.perf_counter() - wall0,
+            phase_times=phase_times,
         )
-
-    def _run_loop(
-        self,
-        limit: int,
-        start_cycle: int,
-        start_report: int,
-        start_output: int,
-        wall0: float,
-    ) -> str:
-        """The run loop body (split out so the whole run is one span even
-        when it ends by raising :class:`CycleLimitExceeded`)."""
-        while True:
-            if self._cycle - start_cycle >= limit:
-                run_reports = self.reports[start_report:]
-                raise CycleLimitExceeded(
-                    f"exceeded {limit} cycles; the rule program likely does "
-                    f"not terminate",
-                    cycles_completed=self._cycle - start_cycle,
-                    firings=sum(r.fired for r in run_reports),
-                    last_report=run_reports[-1] if run_reports else None,
-                    partial=RunResult(
-                        cycles=self._cycle - start_cycle,
-                        firings=sum(r.fired for r in run_reports),
-                        reason="cycle-limit",
-                        output=self.output[start_output:],
-                        reports=run_reports,
-                        wall_time=time.perf_counter() - wall0,
-                        phase_times=Counter(self.phase_times),
-                    ),
-                )
-            report = self.step()
-            if report is None:
-                return (
-                    "redaction-quiescence" if self._redaction_quiescent else "quiescence"
-                )
-            if report.halted:
-                return "halt"
-            if report.fired == 0:
-                return "redaction-quiescence"
 
     # -- black box -------------------------------------------------------------
 

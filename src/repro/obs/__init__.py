@@ -30,8 +30,13 @@ every execution substrate show its work:
 
 Tracer and metrics default to the no-op :data:`NULL_TRACER` /
 :data:`NULL_METRICS` singletons, so the disabled path costs a branch in
-the emit point — the overhead benchmark holds the enabled path under 5%
-on the ``tc`` and ``manners`` workloads.
+the emit point. The overhead gate (``tests/obs/test_overhead.py``)
+allows enabled tracing + metrics ``off × 1.05 + 50 ms`` on the ``tc`` and
+``manners`` workloads, each side the minimum of 3 runs. Those runs take
+10–25 ms, so the 50 ms floor dominates and a 5% overhead is not resolved.
+The flight-recorder gate (``benchmarks/obs_microbench.py``) applies the
+same bound to the minimum of 15 runs; its recorded on/off ratios
+(``BENCH_obs.json``) are 1.12 on tc and 1.22 on manners.
 """
 
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry, NullMetrics

@@ -14,6 +14,13 @@ a deterministic simulation (see DESIGN.md §2):
   synchronized P-site execution of the PARULEL cycle with one match engine
   per site; per-cycle time is the slowest site (makespan) plus serial
   redaction and barrier costs. Speedup(P) = T(1)/T(P) — Figure 1/2;
+- :mod:`repro.parallel.distributed` — :class:`DistributedMachine`, the
+  same over per-site working-memory replicas and a message network
+  (Figures 5/6);
+- :mod:`repro.parallel.sites` — the site-partitioned matcher both
+  machines hand the :class:`~repro.core.engine.ParulelEngine` whose
+  ``step()`` they drive: the cycle is written once, the machines only
+  charge its costs;
 - :mod:`repro.parallel.threaded` — a real ``ThreadPoolExecutor`` match
   fan-out, included to exercise genuine concurrency and to document the
   GIL ceiling (Table 4);

@@ -9,11 +9,12 @@ that execution model honestly:
 
 - each site owns a real, separate :class:`~repro.wm.memory.WorkingMemory`
   (no shared store at all) plus a match engine over its assigned rules;
-- a **master** (site 0's replica) runs redaction and the delta merge;
-- per cycle the coordinator (a) gathers candidate instantiations from the
-  sites, (b) redacts on the master, (c) evaluates survivors against the
-  master replica, and (d) ships the merged delta to every site, which
-  applies it to its own replica;
+- a **master** (site 0's replica) runs the cycle: the machine calls
+  :meth:`~repro.core.engine.ParulelEngine.step` on an engine over that
+  replica, which (a) gathers candidate instantiations from the sites,
+  (b) redacts, (c) evaluates survivors and (d) commits the merged delta;
+  the machine then ships the master's changes to every site, which
+  applies them to its own replica, and charges the cycle's costs;
 - WME identity is by value + timestamp and every replica applies the same
   delta sequence, so timestamps — and therefore instantiation keys —
   agree across replicas without any global coordination; tests assert
@@ -52,19 +53,14 @@ injection and recovery action is a :class:`~repro.faults.FaultEvent` on
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.errors import CycleLimitExceeded
-from repro.core.actions import ActionEvaluator, InstantiationDelta
-from repro.core.delta import InterferencePolicy, merge_deltas
-from repro.core.redaction import MetaLevel
+from repro.core.delta import InterferencePolicy
+from repro.core.engine import EngineConfig, ParulelEngine
 from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.lang.ast import Program, Value
-from repro.match.compile import compile_rules
-from repro.match.instantiation import InstKey, Instantiation
-from repro.match.interface import Matcher, create_matcher
 from repro.obs.emit import Obs
 from repro.parallel.costmodel import CostModel
 from repro.parallel.partition import (
@@ -72,17 +68,12 @@ from repro.parallel.partition import (
     rehost_assignment,
     resolve_assignment,
 )
-from repro.wm.memory import WorkingMemory
+from repro.parallel.sites import SiteMatchers, run_cycle
+from repro.wm.memory import DeltaRecorder, WMDelta, WorkingMemory
 from repro.wm.template import TemplateRegistry
 from repro.wm.wme import WME
 
 __all__ = ["NetworkModel", "DistributedMachine", "DistResult"]
-
-#: One delta-log entry, in wire form: ``(removed timestamps, makes)`` where
-#: each make is ``(class, attrs, timestamp)``. The log is cumulative from
-#: machine construction, so replaying it into an empty store reproduces any
-#: replica exactly — that is how a rejoining site catches up.
-LogEntry = Tuple[Tuple[int, ...], Tuple[Tuple[str, Dict[str, Value], int], ...]]
 
 
 @dataclass(frozen=True)
@@ -176,74 +167,60 @@ class DistributedMachine:
         self.assignment.validate(program.rules)
         self.cost = cost_model or CostModel()
         self.network = network or NetworkModel()
-        self.interference = InterferencePolicy.of(interference)
-        self.dedupe_makes = dedupe_makes
         self.multicast = multicast
-        self.matcher_name = matcher
-        self.indexed = indexed
         if fault_plan is not None:
             fault_plan.validate_sites(n_sites)
         self._injector: Optional[FaultInjector] = (
             fault_plan.injector() if fault_plan is not None else None
         )
-        #: Canonical gather order: rule position in the program. Candidates
-        #: sort by (rule index, instantiation key), so the firing order —
-        #: and therefore every timestamp the run allocates — is independent
-        #: of which site happens to host a rule. Recovery that moves rules
-        #: between sites cannot perturb results.
-        self._rule_index: Dict[str, int] = {
-            r.name: i for i, r in enumerate(program.rules)
-        }
 
-        #: One REAL working memory per site — nothing is shared.
+        #: One REAL working memory per site — nothing is shared — and each
+        #: replica's timestamp index (wire deltas name WMEs by timestamp).
         self.replicas: List[WorkingMemory] = [
             WorkingMemory(TemplateRegistry.from_program(program))
             for _ in range(n_sites)
         ]
-        self.evaluator = ActionEvaluator()
+        self._by_ts: List[Dict[int, WME]] = [{} for _ in range(n_sites)]
         #: Current rule hosting; starts as the configured assignment and is
         #: recomputed by `rehost_assignment` when sites die or rejoin.
         self.hosting: Assignment = self.assignment
         self._dead: Set[int] = set()
-        self.site_matchers: List[Optional[Matcher]] = [None] * n_sites
-        self._hosted_names: List[frozenset] = [frozenset()] * n_sites
-        self._site_interests: List[frozenset] = [frozenset()] * n_sites
-        self._site_op_marks = [Counter() for _ in range(n_sites)]
+        #: Canonical gather order: candidates sort by (rule position in the
+        #: program, instantiation key), so the firing order — and therefore
+        #: every timestamp the run allocates — is independent of which site
+        #: happens to host a rule. Recovery that moves rules between sites
+        #: cannot perturb results.
+        self.sites = SiteMatchers(program.rules, n_sites, matcher, indexed, canonical=True)
         for site in range(n_sites):
             self._build_site_matcher(site)
-        # The master replica hosts the meta level (reifications are local
-        # to the master; they are retracted before any delta ships).
-        self.meta = MetaLevel(program.meta_rules, self.replicas[0], self.evaluator)
-        self.fired: Set[InstKey] = set()
-        self.output: List[str] = []
-        #: Cumulative delta log since construction (initial makes included):
-        #: the catch-up script replayed into a rejoining replica.
-        self._log: List[LogEntry] = []
+        if multicast:
+            self.sites.watch(self.replicas[0])
+        #: The PARULEL cycle, run on the master replica (reifications stay
+        #: local to it); the machine charges costs and ships the deltas.
+        self.engine = ParulelEngine(
+            program,
+            EngineConfig(
+                interference=interference,
+                dedupe_makes=dedupe_makes,
+                flight_recorder=False,
+            ),
+            wm=self.replicas[0],
+            matcher=self.sites,
+        )
+        #: The process pool's replica protocol: the master's changes drain
+        #: as wire deltas into every live replica; the cumulative wire log
+        #: is the catch-up script replayed into a rejoining replica.
+        self._recorder = DeltaRecorder(self.replicas[0])
+        self._log: List[tuple] = []
         self._stragglers_noted: Set[int] = set()
 
     # -- site (re)construction ---------------------------------------------------
 
     def _build_site_matcher(self, site: int) -> None:
-        """(Re)build one site's matcher over the rules it currently hosts.
-
-        The fresh matcher replays the whole replica, so its match work —
-        the real cost of re-hosting rules after a failure — lands in the
-        site's next compute delta.
-        """
-        old = self.site_matchers[site]
-        if old is not None:
-            old.detach()
+        """(Re)build one site's matcher over the rules it currently hosts
+        (its replay of the replica is the real cost of re-hosting)."""
         rules = self.hosting.rules_of_site(site, self.program.rules)
-        self.site_matchers[site] = create_matcher(
-            self.matcher_name, rules, self.replicas[site], indexed=self.indexed
-        )
-        self._site_op_marks[site] = Counter()
-        self._hosted_names[site] = frozenset(r.name for r in rules)
-        classes: Set[str] = set()
-        for compiled in compile_rules(rules):
-            for ce in compiled.ces:
-                classes.add(ce.class_name)
-        self._site_interests[site] = frozenset(classes)
+        self.sites.build(site, rules, self.replicas[site])
 
     def _rehost(self) -> int:
         """Recompute hosting for the current dead set; rebuild every site
@@ -255,13 +232,11 @@ class DistributedMachine:
         for site in range(self.n_sites):
             if site in self._dead:
                 continue
-            hosted = frozenset(
-                r.name
-                for r in self.program.rules
-                if self.hosting.site_of[r.name] == site
-            )
-            if hosted != self._hosted_names[site]:
-                moved += len(hosted.symmetric_difference(self._hosted_names[site]))
+            rules = self.hosting.rules_of_site(site, self.program.rules)
+            hosted = frozenset(r.name for r in rules)
+            current = frozenset(self.sites.matchers[site].rule_names())
+            if hosted != current:
+                moved += len(hosted.symmetric_difference(current))
                 self._build_site_matcher(site)
         return moved
 
@@ -270,12 +245,17 @@ class DistributedMachine:
     def make(self, class_name: str, attrs: Optional[Mapping[str, Value]] = None, **kw: Value):
         """Assert an initial WME into *every* replica (same timestamps)."""
         first = self.replicas[0].make(class_name, attrs, **kw)
-        for replica in self.replicas[1:]:
-            replica.add(WME(first.class_name, first.attributes, first.timestamp))
-        self._log.append(
-            ((), ((first.class_name, first.attributes, first.timestamp),))
-        )
+        self._scatter()
         return first
+
+    def _scatter(self) -> None:
+        """Ship the master's changes since the last scatter to every live
+        replica and append them to the catch-up log."""
+        wire = self._recorder.drain().wire()
+        self._log.append(wire)
+        for site in range(1, self.n_sites):
+            if site not in self._dead:
+                WMDelta.apply_wire(self.replicas[site], self._by_ts[site], wire)
 
     # -- consistency (tests call this) ---------------------------------------------
 
@@ -292,17 +272,6 @@ class DistributedMachine:
             for site, replica in enumerate(self.replicas)
             if site != 0 and site not in self._dead
         )
-
-    # -- accounting -------------------------------------------------------------
-
-    def _site_ops_delta(self, site: int) -> Counter:
-        matcher = self.site_matchers[site]
-        if matcher is None:
-            return Counter()
-        now = matcher.stats.snapshot()
-        delta = now - self._site_op_marks[site]
-        self._site_op_marks[site] = now
-        return delta
 
     # -- virtual-clock tracing ---------------------------------------------------
 
@@ -328,10 +297,7 @@ class DistributedMachine:
         charged for detection + redistribution."""
         assert self._injector is not None
         self._dead.add(site)
-        matcher = self.site_matchers[site]
-        if matcher is not None:
-            matcher.detach()
-            self.site_matchers[site] = None
+        self.sites.drop(site)
         self._injector.record(cycle_no, "crash", site=site)
         # Detection: the master waits one full gather timeout for the dead
         # site before declaring it lost.
@@ -358,17 +324,11 @@ class DistributedMachine:
         assert self._injector is not None
         replica = WorkingMemory(TemplateRegistry.from_program(self.program))
         by_ts: Dict[int, WME] = {}
-        records = 0
-        for removes, makes in self._log:
-            for ts in removes:
-                replica.remove(by_ts.pop(ts))
-                records += 1
-            for class_name, attrs, ts in makes:
-                wme = WME(class_name, dict(attrs), ts)
-                replica.add(wme)
-                by_ts[ts] = wme
-                records += 1
+        for wire in self._log:
+            WMDelta.apply_wire(replica, by_ts, wire)
+        records = sum(len(adds) + len(removes) for adds, removes in self._log)
         self.replicas[site] = replica
+        self._by_ts[site] = by_ts
         self._dead.discard(site)
         self._build_site_matcher(site)
         moved = self._rehost()
@@ -400,46 +360,45 @@ class DistributedMachine:
                 messages += m
         return comm, messages
 
-    def _charge_message_faults(
-        self, n_remote: int, cycle_no: int, round_name: str
-    ) -> Tuple[float, int]:
-        """Seeded drop/duplicate/delay fates for one round's messages;
-        returns the extra (comm ticks, messages) they cost."""
+    def _round(self, name: str, n: int, cycle: int, at_us: float) -> Tuple[float, int]:
+        """Charge one gather/scatter round carrying ``n`` messages;
+        returns its (comm ticks, messages), seeded drop/duplicate/delay
+        fates included. A single-site machine exchanges no messages at
+        all — charging round latency there would inflate the serial
+        baseline and fake distributed speedup."""
+        if self.n_sites == 1:
+            self.obs.messages(name, n)
+            return 0.0, n
+        ticks = self.network.round_cost(n)
+        messages = n
         inj = self._injector
-        assert inj is not None
-        plan = inj.plan
-        if not (plan.drop_rate or plan.dup_rate or plan.delay_rate):
-            return 0.0, 0
-        comm = 0.0
-        messages = 0
-        for _ in range(n_remote):
-            drops, duplicated, delayed = inj.message_fate()
-            if drops:
-                comm += self.network.retry_cost(drops)
-                messages += drops
-                inj.record(
-                    cycle_no,
-                    "drop",
-                    detail=f"{round_name}: {drops} retransmission(s)",
-                )
-            if duplicated:
-                comm += self.network.per_message
-                messages += 1
-                inj.record(cycle_no, "duplicate", detail=round_name)
-            if delayed:
-                comm += self.network.latency
-                inj.record(cycle_no, "delay", detail=round_name)
-        return comm, messages
+        plan = inj.plan if inj is not None else None
+        if plan is not None and (plan.drop_rate or plan.dup_rate or plan.delay_rate):
+            for _ in range(n):
+                drops, duplicated, delayed = inj.message_fate()
+                if drops:
+                    ticks += self.network.retry_cost(drops)
+                    messages += drops
+                    inj.record(
+                        cycle, "drop", detail=f"{name}: {drops} retransmission(s)"
+                    )
+                if duplicated:
+                    ticks += self.network.per_message
+                    messages += 1
+                    inj.record(cycle, "duplicate", detail=name)
+                if delayed:
+                    ticks += self.network.latency
+                    inj.record(cycle, "delay", detail=name)
+        self.obs.vspan(name, "network", at_us, ticks, cycle=cycle, messages=n)
+        self.obs.messages(name, n)
+        return ticks, messages
 
     # -- execution ---------------------------------------------------------------
 
     def run(self, max_cycles: int = 100_000) -> DistResult:
-        compute = 0.0
-        comm = 0.0
-        serial = 0.0
-        messages = 0
-        cycles = 0
-        firings = 0
+        engine, sites, cost, network = self.engine, self.sites, self.cost, self.network
+        compute = comm = serial = 0.0
+        messages = cycles = firings = 0
         reason = "quiescence"
 
         def result(reason: str) -> DistResult:
@@ -452,7 +411,7 @@ class DistributedMachine:
                 comm_ticks=comm,
                 serial_ticks=serial,
                 messages=messages,
-                output=list(self.output),
+                output=list(engine.output),
                 fault_events=(
                     list(self._injector.events) if self._injector is not None else []
                 ),
@@ -461,7 +420,8 @@ class DistributedMachine:
 
         obs = self.obs
         # Load phase: parallel across sites.
-        load = [self.cost.match_cost(self._site_ops_delta(s)) for s in range(self.n_sites)]
+        load = [cost.match_cost(sites.ops(m)) for m in sites.matchers]
+        sites.drain_changes()  # the load's WM changes are no cycle's
         compute += max(load) if load else 0.0
         if any(load):
             for s, ticks in enumerate(load):
@@ -492,59 +452,37 @@ class DistributedMachine:
                     )
                     vt += fault_comm
 
-            # ---- gather candidates (one communication round) --------------
-            candidates: List[Instantiation] = []
-            for matcher in self.site_matchers:
-                if matcher is None:
-                    continue
-                for inst in matcher.instantiations():
-                    if inst.key in self.fired:
-                        continue
-                    candidates.append(inst)
-            candidates.sort(
-                key=lambda i: (self._rule_index[i.rule.name], i.key)
-            )
-            inst_site: Dict[InstKey, int] = {
-                inst.key: self.hosting.site_of[inst.rule.name]
-                for inst in candidates
-            }
-            gather_msgs = sum(1 for site in inst_site.values() if site != 0)
-            if not candidates:
+            report, fired_now = run_cycle(engine)
+            if report is None:
                 self._vclock_us = vt
                 break
             cycles += 1
-            # A single-site machine exchanges no messages at all — charging
-            # round latency there would inflate the serial baseline and
-            # fake distributed speedup.
-            if self.n_sites > 1:
-                gather_cost = self.network.round_cost(gather_msgs)
-                if self._injector is not None:
-                    extra_comm, extra_msgs = self._charge_message_faults(
-                        gather_msgs, cycle_no, "gather"
-                    )
-                    gather_cost += extra_comm
-                    messages += extra_msgs
-                comm += gather_cost
-                obs.vspan(
-                    "gather", "network", vt, gather_cost,
-                    cycle=cycle_no, messages=gather_msgs,
-                )
-                vt += gather_cost
-            messages += gather_msgs
-            obs.messages("gather", gather_msgs)
+
+            # ---- gather candidates (one communication round) --------------
+            # Candidates: gathered instantiations unrefracted before the cycle.
+            new_keys = set(fired_now)
+            gather_msgs = sum(
+                1
+                for inst in sites.last
+                if self.hosting.site_of[inst.rule.name] != 0
+                and (inst.key in new_keys or inst.key not in engine.fired)
+            )
+            ticks, sent = self._round("gather", gather_msgs, cycle_no, vt)
+            comm += ticks
+            messages += sent
+            vt += ticks
 
             # ---- redact on the master -------------------------------------
-            survivors, red_report = self.meta.redact(candidates)
-            self.output.extend(self.meta.writes)
-            redact_ticks = self.cost.redact_overhead * red_report.meta_firings
-            verdict_cost = self.network.per_message * red_report.redacted
+            red_report = report.redaction
+            redact_ticks = cost.redact_overhead * red_report.meta_firings
+            verdict_cost = network.per_message * red_report.redacted
             serial += redact_ticks
             # Only redaction verdicts ship back (survivors fire in place).
             comm += verdict_cost
             messages += red_report.redacted
             obs.vspan(
                 "redact", "site-0", vt, redact_ticks,
-                cycle=cycle_no, candidates=len(candidates),
+                cycle=cycle_no, candidates=report.candidates,
                 redacted=red_report.redacted,
             )
             vt += redact_ticks
@@ -556,92 +494,38 @@ class DistributedMachine:
                 vt += verdict_cost
             obs.messages("verdict", red_report.redacted)
 
-            if not survivors:
+            if not report.fired:
                 reason = "redaction-quiescence"
                 self._vclock_us = vt
                 break
 
-            # ---- fire (each site evaluates its own survivors) --------------
-            deltas: List[InstantiationDelta] = []
+            # ---- fire (each site evaluates its own survivors), merge -------
             fire_ticks = [0.0] * self.n_sites
-            for inst in survivors:
-                self.fired.add(inst.key)
-                deltas.append(self.evaluator.evaluate(inst))
-                fire_ticks[inst_site[inst.key]] += self.cost.fire
-            firings += len(survivors)
-
-            merged = merge_deltas(
-                deltas, policy=self.interference, dedupe_makes=self.dedupe_makes
-            )
-            serial += self.cost.wm_broadcast * 0.5 * merged.size
+            for rule, _timestamps in fired_now:
+                fire_ticks[self.hosting.site_of[rule]] += cost.fire
+            firings += report.fired
+            merged = report.delta_removes + report.delta_makes
+            serial += cost.wm_broadcast * 0.5 * merged
 
             # ---- scatter the delta; every live replica applies it ----------
-            removed_keys = [
-                (w.class_name, w.attributes, w.timestamp) for w in merged.removes
-            ]
-            scatter_msgs = 0
-            new_timestamps: List[int] = []
-            for site, replica in enumerate(self.replicas):
-                if site != 0 and site in self._dead:
-                    continue  # stale until it rejoins and replays the log
-                # Removes resolve by value+timestamp in each replica.
-                for class_name, attrs, ts in removed_keys:
-                    replica.remove(WME(class_name, dict(attrs), ts))
-                for i, (class_name, attrs) in enumerate(merged.makes):
-                    if site == 0:
-                        wme = replica.make(class_name, attrs)
-                        new_timestamps.append(wme.timestamp)
-                    else:
-                        replica.add(WME(class_name, dict(attrs), new_timestamps[i]))
-                if site != 0:
-                    if self.multicast:
-                        relevant = sum(
-                            1
-                            for cls, _a in merged.makes
-                            if cls in self._site_interests[site]
-                        ) + sum(
-                            1
-                            for cls, _a, _t in removed_keys
-                            if cls in self._site_interests[site]
-                        )
-                    else:
-                        relevant = merged.size
-                    scatter_msgs += relevant
-            self._log.append(
-                (
-                    tuple(ts for _c, _a, ts in removed_keys),
-                    tuple(
-                        (class_name, dict(attrs), new_timestamps[i])
-                        for i, (class_name, attrs) in enumerate(merged.makes)
-                    ),
-                )
+            self._scatter()
+            changed = sites.drain_changes()
+            scatter_msgs = sum(
+                sites.relevant(site, changed) if self.multicast else merged
+                for site in range(1, self.n_sites)
+                if site not in self._dead
             )
-            if self.n_sites > 1:
-                scatter_cost = self.network.round_cost(scatter_msgs)
-                if self._injector is not None:
-                    extra_comm, extra_msgs = self._charge_message_faults(
-                        scatter_msgs, cycle_no, "scatter"
-                    )
-                    scatter_cost += extra_comm
-                    messages += extra_msgs
-                comm += scatter_cost
-                obs.vspan(
-                    "scatter", "network", vt, scatter_cost,
-                    cycle=cycle_no, messages=scatter_msgs,
-                )
-                vt += scatter_cost
-            messages += scatter_msgs
-            obs.messages("scatter", scatter_msgs)
-            for delta in deltas:
-                self.evaluator.run_calls(delta)
-            self.output.extend(merged.writes)
+            ticks, sent = self._round("scatter", scatter_msgs, cycle_no, vt)
+            comm += ticks
+            messages += sent
+            vt += ticks
 
             # ---- per-site compute time ---------------------------------------
             site_ticks = []
             for s in range(self.n_sites):
                 if s in self._dead:
                     continue
-                ticks = self.cost.match_cost(self._site_ops_delta(s)) + fire_ticks[s]
+                ticks = cost.match_cost(sites.ops(sites.matchers[s])) + fire_ticks[s]
                 if self._injector is not None:
                     factor = self._injector.straggle_factor(s)
                     if factor != 1.0:
@@ -657,12 +541,12 @@ class DistributedMachine:
                 obs.vspan("match+fire", f"site-{s}", vt, ticks, cycle=cycle_no)
                 site_ticks.append(ticks)
             compute += max(site_ticks)
-            serial += self.cost.barrier
-            vt += max(site_ticks) + self.cost.barrier
+            serial += cost.barrier
+            vt += max(site_ticks) + cost.barrier
             ev_mark = self._obs_faults(ev_mark, vt)
             self._vclock_us = vt
 
-            if merged.halt or self.meta.halt_requested:
+            if report.halted:
                 reason = "halt"
                 break
 

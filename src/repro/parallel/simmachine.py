@@ -13,49 +13,34 @@ Execution model (mirrors the shared-memory multiprocessor the paper used):
   which is what bounds speedup à la Amdahl;
 - a **barrier** charge per cycle models synchronization.
 
-Implementation: the sites share one real :class:`~repro.wm.memory.WorkingMemory`
-(that *is* the replica abstraction — WM listeners deliver every change to
-every site's matcher, and the cost model charges each site for the
-deliveries), and each site has its own matcher over its own rules. The
-functional result of a SimMachine run is therefore **bit-identical to a
-1-engine ParulelEngine run** of the same program — asserted by tests — while
-the timing model yields Figure 1/2's speedup curves deterministically.
+Implementation: the machine drives one
+:class:`~repro.core.engine.ParulelEngine` (``step()`` once per cycle) and
+only charges costs. The engine's store is one real WorkingMemory shared by
+the sites (that *is* the replica abstraction — WM listeners deliver every
+change to every site's matcher, and the cost model charges each site for
+the deliveries); it matches through a
+:class:`~repro.parallel.sites.SiteMatchers`, one matcher per site over its
+own rules. A SimMachine run is therefore **bit-identical to a 1-engine
+ParulelEngine run** of the same program — asserted by tests — while the
+timing model yields Figure 1/2's speedup curves deterministically.
 """
 
 from __future__ import annotations
 
-import time
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Mapping, Optional
 
 from repro.errors import CycleLimitExceeded
-from repro.core.actions import ActionEvaluator, InstantiationDelta
-from repro.core.delta import InterferencePolicy, merge_deltas
-from repro.core.redaction import MetaLevel
+from repro.core.delta import InterferencePolicy
+from repro.core.engine import EngineConfig, ParulelEngine
 from repro.lang.ast import Program, Value
-from repro.match.instantiation import InstKey, Instantiation
-from repro.match.interface import Matcher, create_matcher
-from repro.match.compile import compile_rules
 from repro.parallel.costmodel import CostModel
 from repro.parallel.partition import Assignment, round_robin_assignment
+from repro.parallel.sites import SiteMatchers, run_cycle
 from repro.wm.memory import WorkingMemory
 from repro.wm.template import TemplateRegistry
 
-__all__ = ["SimMachine", "SimResult", "SiteCycle"]
-
-
-@dataclass
-class SiteCycle:
-    """One site's charged work within one cycle (ticks)."""
-
-    match: float = 0.0
-    fire: float = 0.0
-    broadcast: float = 0.0
-
-    @property
-    def total(self) -> float:
-        return self.match + self.fire + self.broadcast
+__all__ = ["SimMachine", "SimResult"]
 
 
 @dataclass
@@ -121,8 +106,6 @@ class SimMachine:
         self.assignment = assignment or round_robin_assignment(program.rules, n_sites)
         self.assignment.validate(program.rules)
         self.cost = cost_model or CostModel()
-        self.interference = InterferencePolicy.of(interference)
-        self.dedupe_makes = dedupe_makes
         #: PARADISER-style interest-based update delivery: a WM change is
         #: sent only to sites whose rules *read* the changed class, instead
         #: of broadcast to every replica. Functionally identical (the real
@@ -132,28 +115,24 @@ class SimMachine:
         self.multicast = multicast
 
         self.wm = WorkingMemory(TemplateRegistry.from_program(program))
-        self.evaluator = ActionEvaluator(host_functions)
-        self.site_matchers: List[Matcher] = []
+        self.sites = SiteMatchers(program.rules, n_sites, matcher, indexed)
         for site in range(n_sites):
             rules = self.assignment.rules_of_site(site, program.rules)
-            self.site_matchers.append(
-                create_matcher(matcher, rules, self.wm, indexed=indexed)
-            )
-        self.meta = MetaLevel(program.meta_rules, self.wm, self.evaluator)
-        # Per-site read interests (class names) for multicast accounting.
-        self._site_interests: List[frozenset] = []
-        for site in range(n_sites):
-            rules = self.assignment.rules_of_site(site, program.rules)
-            classes = set()
-            for compiled in compile_rules(rules):
-                for ce in compiled.ces:
-                    classes.add(ce.class_name)
-            self._site_interests.append(frozenset(classes))
-        self.fired: Set[InstKey] = set()
-        self.output: List[str] = []
-        self._site_op_marks = [Counter() for _ in range(n_sites)]
-        self._meta_op_mark: Counter = Counter()
-        self._halted = False
+            self.sites.build(site, rules, self.wm)
+        if multicast:
+            self.sites.watch(self.wm)
+        #: The PARULEL cycle itself; the machine only charges its costs.
+        self.engine = ParulelEngine(
+            program,
+            EngineConfig(
+                interference=interference,
+                dedupe_makes=dedupe_makes,
+                flight_recorder=False,
+            ),
+            host_functions=host_functions,
+            wm=self.wm,
+            matcher=self.sites,
+        )
 
     # -- workload ---------------------------------------------------------------
 
@@ -161,41 +140,22 @@ class SimMachine:
         """Assert an initial WME (charged as load-phase match work)."""
         return self.wm.make(class_name, attrs, **kw)
 
-    # -- accounting ---------------------------------------------------------------
-
-    def _site_ops_delta(self, site: int) -> Counter:
-        """Match-op counters accrued at a site since last checkpoint."""
-        now = self.site_matchers[site].stats.snapshot()
-        delta = now - self._site_op_marks[site]
-        self._site_op_marks[site] = now
-        return delta
-
-    def _meta_ops_delta(self) -> Counter:
-        if self.meta.matcher is None:
-            return Counter()
-        now = self.meta.matcher.stats.snapshot()
-        delta = now - self._meta_op_mark
-        self._meta_op_mark = now
-        return delta
-
     # -- execution -----------------------------------------------------------------
 
     def run(self, max_cycles: int = 100_000) -> SimResult:
         """Run to quiescence/halt, charging time per the cost model."""
+        engine, sites, cost = self.engine, self.sites, self.cost
         makespans: List[float] = []
         site_totals = [0.0] * self.n_sites
         serial = 0.0
-        cycles = 0
-        firings = 0
-        messages = 0
+        cycles = firings = messages = 0
         reason = "quiescence"
 
         # Load phase: initial WMEs were matched at construction/make time.
         # Charge each site its accrued ops as a cycle-0 parallel phase.
-        load = [
-            self.cost.match_cost(self._site_ops_delta(s)) for s in range(self.n_sites)
-        ]
-        self._meta_ops_delta()  # baseline the meta counters too
+        load = [cost.match_cost(sites.ops(m)) for m in sites.matchers]
+        sites.ops(engine.meta.matcher)  # baseline the meta counters too
+        sites.drain_changes()  # the load's WM changes are no cycle's
         if any(load):
             makespans.append(max(load))
             for s, t in enumerate(load):
@@ -203,89 +163,44 @@ class SimMachine:
 
         while True:
             if cycles >= max_cycles:
-                raise CycleLimitExceeded(
-                    f"simulated run exceeded {max_cycles} cycles"
-                )
-            # ---- parallel match: collect per-site candidates --------------
-            site_candidates: List[List[Instantiation]] = []
-            for matcher in self.site_matchers:
-                cands = [
-                    i for i in matcher.instantiations() if i.key not in self.fired
-                ]
-                site_candidates.append(cands)
-            candidates: List[Instantiation] = []
-            inst_site: Dict[InstKey, int] = {}
-            for site, cands in enumerate(site_candidates):
-                for inst in cands:
-                    candidates.append(inst)
-                    inst_site[inst.key] = site
-            if not candidates:
-                reason = "quiescence"
+                raise CycleLimitExceeded(f"simulated run exceeded {max_cycles} cycles")
+            report, fired_now = run_cycle(engine)
+            if report is None:
                 break
             cycles += 1
 
             # ---- serial redaction (master) --------------------------------
-            survivors, red_report = self.meta.redact(candidates)
-            self.output.extend(self.meta.writes)
-            serial += self.cost.redaction_cost(
-                self._meta_ops_delta(), red_report.meta_firings
+            # Its reifications also reached every site's matcher: that
+            # work lands in the sites' match deltas below.
+            serial += cost.redaction_cost(
+                sites.ops(engine.meta.matcher), report.redaction.meta_firings
             )
-            # Redaction reifications touched the shared WM; that match work
-            # is the meta level's, but each site's matcher also saw the
-            # (irrelevant) class — charge it to the sites as broadcast-ish
-            # match work in the normal site delta below.
-
-            if not survivors:
+            if not report.fired:
                 reason = "redaction-quiescence"
                 break
 
-            # ---- parallel fire ---------------------------------------------
-            deltas: List[InstantiationDelta] = []
+            # ---- parallel fire, serial merge --------------------------------
             fire_ticks = [0.0] * self.n_sites
-            for inst in survivors:
-                self.fired.add(inst.key)
-                deltas.append(self.evaluator.evaluate(inst))
-                fire_ticks[inst_site[inst.key]] += self.cost.fire
-            firings += len(survivors)
+            for rule, _timestamps in fired_now:
+                fire_ticks[self.assignment.site_of[rule]] += cost.fire
+            firings += report.fired
+            merged = report.delta_removes + report.delta_makes
+            serial += cost.wm_broadcast * 0.5 * merged
 
-            merged = merge_deltas(
-                deltas, policy=self.interference, dedupe_makes=self.dedupe_makes
-            )
-            # Merge is serial master work; charge per update merged.
-            serial += self.cost.wm_broadcast * 0.5 * merged.size
-
-            # ---- apply + broadcast ------------------------------------------
-            for wme in merged.removes:
-                self.wm.remove(wme)
-            for class_name, attrs in merged.makes:
-                self.wm.make(class_name, attrs)
-            for delta in deltas:
-                self.evaluator.run_calls(delta)
-            self.output.extend(merged.writes)
-
-            # ---- per-site cycle time -----------------------------------------
-            if self.multicast:
-                changed = [w.class_name for w in merged.removes] + [
-                    cls for cls, _attrs in merged.makes
-                ]
+            # ---- per-site cycle time: match + fire + update delivery -------
+            changed = sites.drain_changes()
+            match = [cost.match_cost(sites.ops(m)) for m in sites.matchers]
             cycle_site_ticks = []
             for s in range(self.n_sites):
-                if self.multicast:
-                    relevant = sum(
-                        1 for cls in changed if cls in self._site_interests[s]
-                    )
-                else:
-                    relevant = merged.size
+                relevant = sites.relevant(s, changed) if self.multicast else merged
                 messages += relevant
-                bcast = self.cost.broadcast_cost(relevant)
-                match_ticks = self.cost.match_cost(self._site_ops_delta(s))
-                t = match_ticks + fire_ticks[s] + bcast
+                t = match[s] + fire_ticks[s] + cost.broadcast_cost(relevant)
                 cycle_site_ticks.append(t)
                 site_totals[s] += t
             makespans.append(max(cycle_site_ticks))
-            serial += self.cost.barrier
+            serial += cost.barrier
 
-            if merged.halt or self.meta.halt_requested:
+            if report.halted:
                 reason = "halt"
                 break
 
@@ -299,5 +214,5 @@ class SimMachine:
             serial_ticks=serial,
             makespans=makespans,
             site_totals=site_totals,
-            output=list(self.output),
+            output=list(engine.output),
         )

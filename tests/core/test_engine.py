@@ -308,6 +308,26 @@ class TestRepeatedRunOutput:
         again = e.run()
         assert again.cycles == 0
         assert again.output == []
+        # Phase times are this call's too, not the engine's running total.
+        assert again.phase_times["apply"] == 0
+        assert again.phase_times["evaluate"] == 0
+
+    def test_cycle_limit_partial_phase_times_are_per_call(self):
+        e = engine_for(
+            """
+            (literalize tick n)
+            (p forever (tick ^n <n>) --> (modify 1 ^n (compute <n> + 1)))
+            """
+        )
+        e.make("tick", n=0)
+        with pytest.raises(CycleLimitExceeded):
+            e.run(max_cycles=200)
+        with pytest.raises(CycleLimitExceeded) as excinfo:
+            e.run(max_cycles=1)
+        partial = excinfo.value.partial
+        # The phases ran inside this call, so they fit in its wall time;
+        # the 200 earlier cycles' phase time would not.
+        assert sum(partial.phase_times.values()) <= partial.wall_time
 
 
 class TestMetaWritesInReports:
