@@ -7,6 +7,8 @@ fraction of the cycle (the paper's argument that declarative conflict
 resolution is affordable) — asserted as < 85% of wall time, > 0 work.
 """
 
+import statistics
+
 import pytest
 
 from repro.core import ParulelEngine
@@ -17,15 +19,22 @@ from .conftest import emit
 
 META_WORKLOADS = ["manners", "routing", "sort-meta"]
 
+#: Runs per workload. The counts are deterministic, but one run's redact
+#: time fraction is noisy (one manners run read anywhere from 0.70 to
+#: 0.93), so the table reports the median of these runs.
+REPEATS = 5
+
 
 def run_with_meta(name):
-    wl = REGISTRY[name]()
-    engine = ParulelEngine(wl.program)
-    wl.setup(engine)
-    result = engine.run(max_cycles=10_000)
-    assert wl.failed_checks(engine.wm) == []
-    total = sum(result.phase_times.values())
-    redact_frac = result.phase_times["redact"] / total if total else 0.0
+    fractions = []
+    for _ in range(REPEATS):
+        wl = REGISTRY[name]()
+        engine = ParulelEngine(wl.program)
+        wl.setup(engine)
+        result = engine.run(max_cycles=10_000)
+        assert wl.failed_checks(engine.wm) == []
+        total = sum(result.phase_times.values())
+        fractions.append(result.phase_times["redact"] / total if total else 0.0)
     summary = summarize_cycles(result.reports)
     return {
         "cycles": result.cycles,
@@ -33,7 +42,7 @@ def run_with_meta(name):
         "redacted": summary["total_redacted"],
         "redacted_per_cycle": summary["redacted_per_cycle"],
         "meta_cycles": summary["meta_cycles"],
-        "redact_fraction": redact_frac,
+        "redact_fraction": statistics.median(fractions),
     }
 
 

@@ -2,7 +2,8 @@
 # The one gate CI and humans both run: tier-1 tests + the porting lint.
 #
 #   scripts/check.sh            # fast gate (tier-1 tests minus slow
-#                               # process-killing tests, lint smoke)
+#                               # process-killing tests, lint smoke, one
+#                               # chaos seed per WM backend)
 #   scripts/check.sh --faults   # additionally run the full fault-injection
 #                               # and recovery suite (kills/SIGSTOPs real
 #                               # workers; per-test SIGALRM timeouts keep a
@@ -107,6 +108,13 @@ echo "== working-memory store gate (columnar vs dict: bytes + identity)"
 #   python -m benchmarks.wm_microbench --write --full    (+ million tier
 #                                                         + workload sweep)
 python -m benchmarks.wm_microbench --check
+
+echo "== chaos differential, seed 0 (worker respawn, demotion, promotion)"
+# The one end-to-end check of how a respawned or promoted worker is caught
+# up, on both WM stores; --resilience runs more seeds.
+python -m repro.resilience.chaos --workload tc --backend dict --seed 0
+python -m repro.resilience.chaos --workload tc --backend columnar --seed 0
+
 # Shared-memory segments are unlinked by ColumnarWorkingMemory.close(),
 # a pid-guarded finalizer, and the stdlib resource tracker — but a
 # SIGKILLed *parent* can still strand named segments. The janitor sweeps

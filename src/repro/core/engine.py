@@ -93,10 +93,10 @@ class EngineConfig:
     fault_plan: Optional[FaultPlan] = None
     #: Supervision policy for the process backend
     #: (:class:`~repro.resilience.supervisor.SupervisorPolicy`): heartbeat
-    #: probes, seeded respawn backoff, per-site circuit breaker, and the
-    #: process → threaded → serial degradation ladder with re-promotion.
+    #: probes, seeded respawn backoff, per-site circuit breaker, and
+    #: demotion to in-parent matching with re-promotion to a worker.
     #: ``None`` keeps the legacy behaviour (immediate respawns, permanent
-    #: degradation straight to in-parent serial).
+    #: demotion to in-parent matching).
     supervisor: Optional[object] = None
     #: Rule-to-worker assignment policy for the process backend:
     #: ``"round-robin"`` (default), ``"analysis"`` (the static analyzer's
@@ -186,6 +186,8 @@ class CycleReport:
     #: Fault/recovery events the match backend reported this cycle
     #: (worker respawns, degradations, injected kills/wedges).
     fault_events: List[FaultEvent] = field(default_factory=list)
+    #: The keys of the instantiations this cycle fired, in firing order.
+    fired_keys: List[InstKey] = field(default_factory=list)
 
 
 @dataclass
@@ -446,6 +448,7 @@ class ParulelEngine:
             writes=meta_writes + list(merged.writes),
             halted=merged.halt or self.meta.halt_requested,
             fault_events=cycle_faults,
+            fired_keys=[inst.key for inst in survivors],
         )
         # The one path a report leaves the engine by: recorded, its halt
         # flag applied, the trace callback invoked exactly once.

@@ -27,13 +27,13 @@ __all__ = ["FaultEvent", "KNOWN_KINDS", "summarize_faults"]
 #: ``straggler`` (slow site). Recovery actions: ``detect`` (missed
 #: gather), ``redistribute`` (rules re-hosted on survivors), ``rejoin``
 #: (replica rebuilt from the delta log), ``respawn`` (worker replaced),
-#: ``degrade`` (site demoted one rung down the degradation ladder).
+#: ``degrade`` (site demoted to in-parent matching).
 #: Supervision events (:mod:`repro.resilience.supervisor`): ``backoff``
 #: (seeded exponential delay before a respawn), ``heartbeat-miss`` (a
 #: liveness probe went unanswered), ``worker-error`` (a worker reply was
 #: an error and the policy degrades instead of raising),
 #: ``breaker-open``/``breaker-close`` (per-site circuit breaker), and
-#: ``promote`` (site re-promoted a rung up after cool-down).
+#: ``promote`` (site back on a worker after its cool-down).
 KNOWN_KINDS = (
     "crash",
     "kill",

@@ -119,7 +119,7 @@ def create_matcher(
     ``"analysis"`` — or a concrete
     :class:`~repro.parallel.partition.Assignment`) and ``supervisor``
     (a :class:`~repro.resilience.supervisor.SupervisorPolicy` governing
-    heartbeats, backoff, circuit breaking and the degradation ladder)
+    heartbeats, backoff, circuit breaking, demotion and promotion)
     apply only to the ``process`` backend; passing them for a serial
     engine is an error rather than a silent no-op.
 

@@ -4,17 +4,15 @@
 public ``phase_times`` (a live view of its seconds counter): the emit
 point (:meth:`repro.obs.emit.Obs.phase`) feeds each measured phase into
 it via :meth:`PhaseTimer.add`. The timer is thread-safe — both counters
-update under one lock, so concurrent ``phase()``/``add()`` calls never
-lose increments.
+update under one lock, so concurrent ``add()`` calls never lose
+increments.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import Counter
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Dict, Iterator, List, Sequence, Union
+from typing import TYPE_CHECKING, Dict, Sequence, Union
 
 if TYPE_CHECKING:  # avoid a runtime cycle: repro.obs imports this module
     from repro.core.engine import CycleReport
@@ -23,15 +21,15 @@ __all__ = ["PhaseTimer", "percentile", "summarize_cycles"]
 
 
 class PhaseTimer:
-    """Accumulates wall-clock per named phase via a context manager::
+    """Accumulates wall-clock seconds and entry counts per named phase::
 
         timer = PhaseTimer()
-        with timer.phase("match"):
-            ...
+        timer.add("match", 0.003)
         timer.seconds["match"]
 
     Thread-safe: ``seconds`` and ``entries`` are updated atomically under
-    an internal lock, so phases may run (and close) concurrently.
+    an internal lock, so phases measured on several threads may be added
+    concurrently.
     """
 
     def __init__(self) -> None:
@@ -40,33 +38,11 @@ class PhaseTimer:
         self.entries: Counter = Counter()
 
     def add(self, name: str, seconds: float, entries: int = 1) -> None:
-        """Record ``seconds`` of already-measured time against ``name``.
-
-        This is the primitive the span layer calls when a span closes;
-        :meth:`phase` is the same thing with the measuring built in.
-        """
+        """Record ``seconds`` of already-measured time against ``name``
+        (the emit point calls this when a phase closes)."""
         with self._lock:
             self.seconds[name] += seconds
             self.entries[name] += entries
-
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add(name, time.perf_counter() - start)
-
-    def fraction(self, name: str) -> float:
-        """Share of total recorded time spent in ``name`` (0 when empty)."""
-        with self._lock:
-            total = sum(self.seconds.values())
-            return self.seconds[name] / total if total else 0.0
-
-    def reset(self) -> None:
-        with self._lock:
-            self.seconds.clear()
-            self.entries.clear()
 
 
 def percentile(values: Sequence[float], q: float) -> float:

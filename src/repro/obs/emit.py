@@ -229,9 +229,9 @@ class Obs:
         if self.flightrec is not None:
             self.flightrec.record_fault(kind, site, cycle)
 
-    def site_mode(self, site: int, rung: int) -> None:
-        """A site's ladder rung (0 = serving at full isolation)."""
-        self.metrics.set_gauge("parulel_site_mode", rung, site=site)
+    def site_mode(self, site: int, mode: int) -> None:
+        """A site's mode (0 = served by its worker, 1 = demoted)."""
+        self.metrics.set_gauge("parulel_site_mode", mode, site=site)
 
     def backoff(self, site: int, seconds: float) -> None:
         self.metrics.inc("parulel_backoff_seconds_total", seconds, site=site)

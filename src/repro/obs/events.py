@@ -16,7 +16,7 @@ EV_FIRE = 3  # one firing evaluated: code=rule id, a=eval ns
 EV_REDACT = 4  # redaction verdict: a=candidates, b=redacted
 EV_CHURN = 5  # conflict-set churn: a=instantiations, b=candidates
 EV_CHECKPOINT = 6  # checkpoint written: code 0=full, 1=delta
-EV_FAULT = 7  # fault / supervisor / ladder event: code=interned kind, a=site
+EV_FAULT = 7  # fault / supervisor event: code=interned kind, a=site
 EV_RACE = 8  # commutativity race: code=rule id, a=other rule id
 EV_REPLAY = 9  # sanitizer shadow replay: a=pairs replayed
 EV_HALT = 10  # engine halted

@@ -5,7 +5,7 @@ This module provides one: every :class:`~repro.core.engine.ParulelEngine`
 owns a :class:`FlightRecorder` (default-enabled, ``--no-flight-recorder``
 to opt out) holding one bounded ring per process — the engine writes cycle
 boundaries, phase durations, per-rule firings, redaction verdicts,
-conflict-set churn, checkpoint writes and fault/ladder transitions into
+conflict-set churn, checkpoint writes and fault/supervisor transitions into
 its own ring, while each match worker writes rule-level lifecycle records
 into a ``multiprocessing.shared_memory`` ring the *parent* created and
 keeps mapped, so the records survive a worker SIGKILL.
@@ -456,7 +456,7 @@ class FlightRecorder:
         self.ring.append(kind, cycle, code, a, b, site=site)
 
     def record_fault(self, kind: str, site: Optional[int], cycle: int) -> None:
-        """Fault-injection / supervisor / ladder transition, by kind name."""
+        """Fault-injection / supervisor transition, by kind name."""
         s = site if isinstance(site, int) else -1
         self.record(EV_FAULT, cycle, code=self.intern(kind), a=s, site=s)
 

@@ -68,7 +68,7 @@ from repro.parallel.partition import (
     rehost_assignment,
     resolve_assignment,
 )
-from repro.parallel.sites import SiteMatchers, run_cycle
+from repro.parallel.sites import SiteMatchers
 from repro.wm.memory import DeltaRecorder, WMDelta, WorkingMemory
 from repro.wm.template import TemplateRegistry
 from repro.wm.wme import WME
@@ -452,7 +452,7 @@ class DistributedMachine:
                     )
                     vt += fault_comm
 
-            report, fired_now = run_cycle(engine)
+            report = engine.step()
             if report is None:
                 self._vclock_us = vt
                 break
@@ -460,7 +460,7 @@ class DistributedMachine:
 
             # ---- gather candidates (one communication round) --------------
             # Candidates: gathered instantiations unrefracted before the cycle.
-            new_keys = set(fired_now)
+            new_keys = set(report.fired_keys)
             gather_msgs = sum(
                 1
                 for inst in sites.last
@@ -501,7 +501,7 @@ class DistributedMachine:
 
             # ---- fire (each site evaluates its own survivors), merge -------
             fire_ticks = [0.0] * self.n_sites
-            for rule, _timestamps in fired_now:
+            for rule, _timestamps in report.fired_keys:
                 fire_ticks[self.hosting.site_of[rule]] += cost.fire
             firings += report.fired
             merged = report.delta_removes + report.delta_makes

@@ -24,15 +24,17 @@ for that rule spreads over the sites carrying the copies (Figure 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import warnings
 
 from repro.errors import MatchError, PartitionConstraintError
+from repro.lang.analysis import INSTANTIATION_CLASS
 from repro.lang.ast import (
     ConditionElement,
     ConjunctiveTest,
+    ConstantTest,
     DisjunctionTest,
     MetaRule,
     Program,
@@ -353,7 +355,11 @@ def copy_and_constrain_program(
     attr: str,
     partitions: Sequence[Sequence[Value]],
 ) -> Program:
-    """A new program with ``rule_name`` replaced by its constrained copies."""
+    """A new program with ``rule_name`` replaced by its constrained copies.
+
+    Meta-rules that single the rule out by name (a constant ``^rule``
+    test on an ``instantiation`` CE) are widened to a disjunction over the
+    copies' names, so their redactions still apply to every copy."""
     target = program.rule(rule_name)
     copies = copy_and_constrain(target, ce_index, attr, partitions)
     rules = []
@@ -362,8 +368,22 @@ def copy_and_constrain_program(
             rules.extend(copies)
         else:
             rules.append(r)
+    named = ConstantTest(rule_name)
+    widened = DisjunctionTest(tuple(c.name for c in copies))
+
+    def widen(ce: ConditionElement) -> ConditionElement:
+        if ce.class_name != INSTANTIATION_CLASS:
+            return ce
+        tests = tuple(
+            (a, widened if a == "rule" and t == named else t) for a, t in ce.tests
+        )
+        return replace(ce, tests=tests)
+
     return Program(
         literalizes=program.literalizes,
         rules=tuple(rules),
-        meta_rules=program.meta_rules,
+        meta_rules=tuple(
+            replace(meta, conditions=tuple(widen(ce) for ce in meta.conditions))
+            for meta in program.meta_rules
+        ),
     )

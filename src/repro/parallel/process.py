@@ -11,10 +11,17 @@ concurrent interpreters (one GIL each).
 What keeps it fast and correct:
 
 - **Delta shipping.** Each worker owns a private working-memory replica.
-  Per cycle the pool drains a :class:`~repro.wm.memory.DeltaRecorder` and
-  broadcasts only the net adds/removes since the previous cycle — never
-  the whole memory. Timestamps identify WMEs across replicas, so removes
-  are a timestamp list and adds are ``(class, attrs, timestamp)`` records.
+  Per cycle the pool sends every current worker only the increment since
+  the previous cycle — never the whole memory: journal cursors into the
+  shared columns on the columnar store, the net adds/removes drained from
+  a :class:`~repro.wm.memory.DeltaRecorder` on the dict store.
+  Timestamps identify WMEs across replicas, so removes are a timestamp
+  list and adds are ``(class, attrs, timestamp)`` records.
+- **One catch-up path.** A worker spawned at start, respawned after a
+  failure or promoted after a demotion is *stale*; its next request is
+  the catch-up instead of the increment — the attach spec plus the
+  cycle's cursor message (columnar), the whole wire-delta log (dict).
+  Each distinct message is pickled once per cycle.
 - **Deterministic merge.** Workers return compact match summaries
   ``(rule name, per-CE timestamps, environment)``; the parent rebuilds
   :class:`~repro.match.instantiation.Instantiation` objects against its own
@@ -22,28 +29,25 @@ What keeps it fast and correct:
   compiled order within a site — byte-identical to the sequential matchers
   (the differential suite asserts this).
 - **Robustness.** Every cycle applies a per-worker timeout; a crashed,
-  wedged, or killed worker is respawned and caught up by replaying the
-  cumulative delta log, then re-asked for its site's matches. A run
-  survives ``kill -9`` of any worker mid-cycle (tests inject exactly
-  that).
-- **Supervised degradation.** Each site has a respawn budget
+  wedged, or killed worker is respawned, caught up, and re-asked for its
+  site's matches. A run survives ``kill -9`` of any worker mid-cycle
+  (tests inject exactly that).
+- **Supervised demotion.** Each site has a respawn budget
   (``respawn_limit``; ``None`` = unlimited) and a
   :class:`~repro.resilience.supervisor.SupervisorPolicy` deciding when to
   retry and when to give up. When a site's worker keeps dying past its
   budget (or trips the policy's circuit breaker), the pool stops
-  respawning and *degrades* the site one rung down the policy's ladder —
-  ``process`` → (optionally) ``threaded`` (matched in-parent on a helper
-  thread) → ``serial`` (matched in-parent inline by the serial join
-  engine). The run stays alive — slower on that site, never wrong —
-  instead of raising :class:`~repro.errors.MatchError`. Because the
-  parent WM holds exactly the replica contents in the same order,
-  degraded results are byte-identical to worker results. Policies can
-  add seeded respawn backoff, ping/pong heartbeat probes (catching a
-  wedged worker *before* a request burns the reply deadline), and
-  cool-down re-promotion back up the ladder. The default policy is the
-  pool's historical behaviour: immediate respawns, permanent degradation
-  straight to in-parent serial. Every respawn, degradation, backoff,
-  heartbeat miss, breaker transition and promotion is a
+  respawning and *demotes* the site: its rules are matched in-parent by
+  the serial join engine. The run stays alive — slower on that site,
+  never wrong — instead of raising :class:`~repro.errors.MatchError`.
+  Because the parent WM holds exactly the replica contents in the same
+  order, in-parent results are byte-identical to worker results.
+  Policies can add seeded respawn backoff, ping/pong heartbeat probes
+  (catching a wedged worker *before* a request burns the reply deadline),
+  and a cool-down after which the site is promoted straight back to a
+  fresh worker. The default policy is the pool's historical behaviour:
+  immediate respawns, permanent demotion. Every respawn, demotion,
+  backoff, heartbeat miss, breaker transition and promotion is a
   :class:`~repro.faults.FaultEvent`; engines drain them per cycle via
   :meth:`ProcessMatcher.drain_fault_events` into the
   :class:`~repro.core.engine.CycleReport`.
@@ -68,7 +72,6 @@ import multiprocessing
 import os
 import pickle
 import signal
-import threading
 import time
 from multiprocessing.connection import Connection
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -118,6 +121,11 @@ def default_worker_count() -> int:
 # ---------------------------------------------------------------------------
 
 
+def _pickle(msg: tuple) -> bytes:
+    """One pipe message, serialized once (see ``_try_send_bytes``)."""
+    return pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL)
+
+
 def _summaries(insts: List[Instantiation]) -> List[MatchSummary]:
     """The wire form of matched instantiations (see :data:`MatchSummary`)."""
     return [
@@ -139,7 +147,7 @@ def match_rules(
     rule_ids: Optional[Dict[str, int]] = None,
     cycle: int = 0,
 ) -> Tuple[List[Instantiation], List[Tuple[str, float]]]:
-    """The one per-site rule-match loop (process workers, degraded sites,
+    """The one per-site rule-match loop (process workers, demoted sites,
     the threaded pool): every instantiation of ``compiled`` in rule order,
     plus each rule's match seconds. With a worker's shared ``ring`` (and
     its ``rule_ids`` map) each rule sits between ``EV_RULE_BEGIN`` and
@@ -394,39 +402,33 @@ class ProcessMatchPool:
         #: journal — no per-cycle delta pickling at all.
         self._shared = isinstance(wm, ColumnarWorkingMemory)
         #: Parent-side timestamp index for rebuilding Instantiations with
-        #: the exact WME objects the sequential matchers would use.
-        self._wme_by_ts: Dict[int, WME] = {}
-        self._recorder: Optional[DeltaRecorder] = None
-        if self._shared:
-            # No delta recorder: track the ts index with a thin listener.
-            self._wme_by_ts = {w.timestamp: w for w in wm}
-            wm.add_listener(self._ts_listener)
-        else:
-            self._recorder = DeltaRecorder(wm)
-        #: Sites whose worker has attached the shared columns (columnar
-        #: mode only; reset on respawn).
-        self._attached: Set[int] = set()
-        #: Cumulative wire-delta log since pool creation — the catch-up
-        #: script replayed into a respawned worker (delta mode only).
+        #: the exact WME objects the sequential matchers would use, kept
+        #: current by one listener on either store.
+        self._wme_by_ts: Dict[int, WME] = {w.timestamp: w for w in wm}
+        wm.add_listener(self._ts_listener)
+        #: Dict store only: the net WM change per cycle, and the
+        #: cumulative wire-delta log since pool creation (a stale worker's
+        #: catch-up).
+        self._recorder = None if self._shared else DeltaRecorder(wm)
         self._log: List[tuple] = []
+        #: Sites whose worker was just (re)spawned and has not been sent
+        #: its catch-up yet (see :meth:`_request`).
+        self._stale: Set[int] = set()
+        #: This cycle's pickled messages: the increment every current
+        #: worker gets, and (built on first use) a stale worker's catch-up.
+        self._step_blob = b""
+        self._catchup: Optional[Tuple[bytes, ...]] = None
         self._conns: Dict[int, Connection] = {}
         self._procs: Dict[int, multiprocessing.process.BaseProcess] = {}
         #: Workers respawned after a crash/timeout (tests assert on this).
         self.respawns = 0
         #: Per-site respawn counts, charged against ``respawn_limit``.
         self.site_respawns: Dict[int, int] = {}
-        #: Sites matched in-parent (rungs below ``process``): budget ran
-        #: out, the circuit breaker tripped, or respawns kept failing.
-        self.degraded_sites: Set[int] = set()
         #: When to retry, how long to wait, when to give up, when to try
         #: again — the policy half of supervision (the pool is the
         #: mechanics half). Default = the pool's historical behaviour.
         self.policy = supervisor if supervisor is not None else SupervisorPolicy()
         self._sup = SiteSupervisor(self.policy, self.active_sites)
-        #: Delta-mode sites just promoted back to a worker: their next
-        #: dispatch must replay the whole delta log, not this cycle's
-        #: increment (columnar promotions re-attach via ``_attached``).
-        self._needs_catchup: Set[int] = set()
         self._site_compiled: Dict[int, Tuple[CompiledRule, ...]] = {}
         self._injector: Optional[FaultInjector] = (
             fault_plan.injector() if fault_plan is not None else None
@@ -445,9 +447,18 @@ class ProcessMatchPool:
         for site in self.active_sites:
             self._spawn(site)
 
+    @property
+    def degraded_sites(self) -> Set[int]:
+        """Sites matched in-parent: budget ran out, the circuit breaker
+        tripped, or respawns kept failing."""
+        return {site for site in self.active_sites if self._sup.demoted(site)}
+
     # -- worker management -------------------------------------------------
 
     def _spawn(self, site: int) -> None:
+        """Start ``site``'s worker. Whether at pool start, on a respawn or
+        on a promotion, the new worker holds no replica yet: it is stale
+        until :meth:`_request` sends it the catch-up."""
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_worker_main,
@@ -466,10 +477,10 @@ class ProcessMatchPool:
         child_conn.close()
         self._conns[site] = parent_conn
         self._procs[site] = proc
+        self._stale.add(site)
 
     def _ts_listener(self, wme: WME, added: bool) -> None:
-        """Columnar mode: keep the parent's ts→WME rebuild index current
-        (the delta recorder does this as a side effect in delta mode)."""
+        """Keep the parent's ts→WME rebuild index current."""
         if added:
             self._wme_by_ts[wme.timestamp] = wme
         else:
@@ -483,7 +494,6 @@ class ProcessMatchPool:
         conn = self._conns.get(site)
         if conn is not None:
             conn.close()
-        self._attached.discard(site)
 
     def _record(self, kind: str, site: int, detail: str = "") -> None:
         event = FaultEvent(cycle=self._cycle, kind=kind, site=site, detail=detail)
@@ -509,38 +519,89 @@ class ProcessMatchPool:
         """Ship an already-pickled message. ``Connection.recv`` unpickles
         whatever bytes arrive, so ``send_bytes(pickle.dumps(msg))`` is
         wire-identical to ``send(msg)`` — but serialized exactly once,
-        which also makes ``len(blob)`` the *exact* IPC byte count (the
-        old scatter path pickled a second time just to measure)."""
+        which also makes ``len(blob)`` the *exact* IPC byte count."""
         try:
             self._conns[site].send_bytes(blob)
             return True
         except (BrokenPipeError, OSError):
             return False
 
-    def _recv(self, site: int) -> Optional[List[MatchSummary]]:
-        """One reply's match summaries (observability payload ingested as
-        a side effect), or ``None`` when the worker is dead or wedged.
+    def _cycle_message(self) -> tuple:
+        """This cycle's increment for a current worker: journal/heap
+        cursors plus drained structural changes on the columnar store (a
+        few hundred bytes however many WMEs changed), the net wire delta
+        on the dict store (also appended to the catch-up log)."""
+        if self._shared:
+            return ("match-shm", self.wm.cycle_info())
+        delta = self._recorder.drain()
+        if delta.empty:
+            return ("match", [])
+        wire = delta.wire()
+        self._log.append(wire)
+        return ("match", [wire])
 
-        Waits under a bounded deadline no matter how the pool was
-        configured, polling in short slices so a worker that died *after*
-        the request was sent fails over in well under a second instead of
-        burning the whole reply deadline (or, with no usable timeout,
-        blocking forever — the hang this replaces)."""
+    def _catch_up(self) -> Tuple[bytes, ...]:
+        """The messages that bring a stale worker current, pickled at most
+        once per cycle: the attach spec (the worker scans the shared
+        liveness snapshot) plus this cycle's request on the columnar
+        store, the whole wire-delta log on the dict store."""
+        if self._catchup is None:
+            if self._shared:
+                spec = ("attach", self.wm.attach_spec())
+                self._catchup = (_pickle(spec), self._step_blob)
+            else:
+                self._catchup = (_pickle(("match", list(self._log))),)
+        return self._catchup
+
+    def _request(self, site: int) -> bool:
+        """Ask ``site``'s worker for this cycle's matches: a stale worker
+        gets the catch-up, every other worker the cycle's increment. The
+        bytes sent feed the IPC byte metric. Returns ``False`` when the
+        pipe is broken (the worker then goes through respawn)."""
+        blobs = self._catch_up() if site in self._stale else (self._step_blob,)
+        ok, sent = True, 0
+        for blob in blobs:
+            ok = self._try_send_bytes(site, blob)
+            if not ok:
+                break
+            sent += len(blob)
+        if sent:
+            self.obs.request(site, sent)
+        if ok:
+            self._stale.discard(site)
+        return ok
+
+    def _await(self, site: int, timeout: float) -> Optional[tuple]:
+        """The next message from ``site``'s worker, or ``None`` when the
+        worker is dead or silent for ``timeout`` seconds.
+
+        Polls in short slices so a worker that died *after* the request
+        was sent fails over in well under a second instead of burning the
+        whole deadline."""
         conn = self._conns[site]
-        deadline = time.monotonic() + self.timeout
+        deadline = time.monotonic() + timeout
+        slice_s = min(0.25, timeout / 20)
         try:
             while True:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     return None  # wedged past the deadline
-                if conn.poll(min(0.25, remaining)):
-                    break
+                if conn.poll(min(slice_s, remaining)):
+                    return conn.recv()
                 proc = self._procs.get(site)
                 if proc is not None and not proc.is_alive() and not conn.poll(0):
                     return None  # died before replying, nothing buffered
-            tag, payload = conn.recv()
         except (EOFError, OSError):
             return None
+
+    def _recv(self, site: int) -> Optional[List[MatchSummary]]:
+        """One reply's match summaries (observability payload ingested as
+        a side effect), or ``None`` when the worker is dead or wedged past
+        the reply deadline."""
+        msg = self._await(site, self.timeout)
+        if msg is None:
+            return None
+        tag, payload = msg
         if tag == "err":
             raise MatchError(f"match worker for site {site} failed: {payload}")
         summaries, obs_payload = payload
@@ -555,30 +616,15 @@ class ProcessMatchPool:
         token = self._cycle
         if not self._try_send(site, ("ping", token)):
             return False
-        conn = self._conns[site]
-        deadline = time.monotonic() + self.policy.heartbeat_timeout
-        try:
-            while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                if conn.poll(min(0.05, remaining)):
-                    break
-                proc = self._procs.get(site)
-                if proc is not None and not proc.is_alive() and not conn.poll(0):
-                    return False
-            tag, payload = conn.recv()
-        except (EOFError, OSError):
-            return False
-        return tag == "pong" and payload == token
+        return self._await(site, self.policy.heartbeat_timeout) == ("pong", token)
 
     def _recv_checked(self, site: int) -> Optional[List[MatchSummary]]:
         """:meth:`_recv` plus the supervision bookkeeping: a healthy reply
         resets the site's failure streak (and closes its circuit breaker,
         emitting ``breaker-close``); a worker-reported error either raises
         :class:`MatchError` (default) or — under a policy with
-        ``degrade_on_worker_error`` — counts as a site failure so the
-        ladder can absorb deterministic worker-side faults (e.g. a chaos
+        ``degrade_on_worker_error`` — counts as a site failure so
+        demotion can absorb deterministic worker-side faults (e.g. a chaos
         run unlinking the shared segment a re-attach needs)."""
         try:
             results = self._recv(site)
@@ -602,86 +648,49 @@ class ProcessMatchPool:
     def _degrade(
         self, site: int, reason: str, breaker: bool = False
     ) -> List[MatchSummary]:
-        """Move a site one rung down the policy's ladder (in-parent).
+        """Stop the site's worker and match the site in-parent.
 
         The parent working memory holds exactly what the worker's replica
-        held (the replica was built from the parent's delta log), and both
+        held (the replica was built from the parent's store), and both
         iterate class buckets in timestamp order, so the in-parent matches
         are byte-identical to what the worker would have returned. With
         ``cooldown_cycles`` set the demotion is temporary — the supervisor
-        schedules a promotion back up; the default policy makes it
+        schedules a promotion back; the default policy makes it
         permanent (historical behaviour).
         """
         if breaker:
             self._record("breaker-open", site, detail=reason)
-        mode = self._sup.note_demotion(site)
+        self._sup.note_demotion(site)
         self._kill(site)
         self._procs.pop(site, None)
         self._conns.pop(site, None)
-        self.degraded_sites.add(site)
-        where = "in-parent" if mode == "serial" else "on a parent thread"
         self._record(
             "degrade",
             site,
             detail=(
                 f"{reason}; {len(self._site_rules[site])} rule(s) now "
-                f"matched {where}"
+                "matched in-parent"
             ),
         )
-        self.obs.site_mode(site, self._sup.rung(site))
-        return self._degraded_match(site)
-
-    def _degraded_match(self, site: int) -> List[MatchSummary]:
-        """Match a degraded site at its current rung: ``threaded`` runs
-        the in-parent match on a joined helper thread, ``serial`` inline.
-        Both compute the identical summaries — the rungs differ only in
-        where the work runs."""
-        if self._sup.mode(site) == "threaded":
-            return self._threaded_match(site)
+        self.obs.site_mode(site, 1)
         return self._parent_match(site)
 
-    def _threaded_match(self, site: int) -> List[MatchSummary]:
-        box: List[List[MatchSummary]] = []
-        err: List[BaseException] = []
-
-        def run() -> None:
-            try:
-                box.append(self._parent_match(site))
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                err.append(exc)
-
-        t = threading.Thread(
-            target=run, name=f"parulel-match-site{site}-threaded", daemon=True
-        )
-        t.start()
-        t.join()
-        if err:
-            raise err[0]
-        return box[0]
-
     def _promote(self, site: int) -> None:
-        """Move a demoted site one rung back up after its cool-down.
+        """Give a demoted site its worker back after its cool-down.
 
-        A promotion to ``process`` respawns a worker (charged against the
-        respawn budget — no budget, no promotion) and flags the site for a
-        full catch-up on this cycle's dispatch; intermediate promotions
-        (``serial`` → ``threaded``) just change where in-parent matching
-        runs."""
-        target = self.policy.ladder[self._sup.rung(site) - 1]
-        if target == "process":
-            if not self._budget_left(site):
-                self._sup.cancel_promotion(site)
-                return
-            self._spawn(site)
-            self.site_respawns[site] = self.site_respawns.get(site, 0) + 1
-            self.degraded_sites.discard(site)
-            if not self._shared:
-                self._needs_catchup.add(site)
-        mode = self._sup.note_promotion(site)
+        The respawn is charged against the respawn budget (no budget, no
+        promotion); the new worker is stale, so this cycle's dispatch
+        sends it the catch-up."""
+        if not self._budget_left(site):
+            self._sup.cancel_promotion(site)
+            return
+        self._spawn(site)
+        self.site_respawns[site] = self.site_respawns.get(site, 0) + 1
+        self._sup.note_promotion(site)
         self._record(
-            "promote", site, detail=f"cool-down elapsed; site back to {mode!r}"
+            "promote", site, detail="cool-down elapsed; site back to 'process'"
         )
-        self.obs.site_mode(site, self._sup.rung(site))
+        self.obs.site_mode(site, 0)
 
     def _parent_match(self, site: int) -> List[MatchSummary]:
         """Serial in-parent match of one (degraded) site's rules.
@@ -707,15 +716,15 @@ class ProcessMatchPool:
         return out
 
     def _respawn_and_match(self, site: int) -> List[MatchSummary]:
-        """Replace a dead/wedged worker, replay the delta log, re-match.
+        """Replace a dead/wedged worker, catch it up, re-match.
 
         Every decision — respawn now, respawn after a (seeded, jittered)
-        backoff, or stop trying and demote the site down the ladder — comes
-        from the :class:`~repro.resilience.supervisor.SiteSupervisor`; the
-        default policy reproduces the historical behaviour exactly
-        (immediate respawns; degrade on budget exhaustion or after three
-        consecutive failed respawns within one cycle — a worker that cannot
-        even come up is a deterministic failure no respawn will fix).
+        backoff, or stop trying and demote the site — comes from the
+        :class:`~repro.resilience.supervisor.SiteSupervisor`; the default
+        policy reproduces the historical behaviour exactly (immediate
+        respawns; demote on budget exhaustion or after three consecutive
+        failed respawns within one cycle — a worker that cannot even come
+        up is a deterministic failure no respawn will fix).
         """
         attempts = 0
         while True:
@@ -749,43 +758,11 @@ class ProcessMatchPool:
                     else ""
                 ),
             )
-            if not self._catch_up_and_request(site):
+            if not self._request(site):
                 continue
             results = self._recv_checked(site)
             if results is not None:
                 return results
-
-    def _catch_up_and_request(self, site: int) -> bool:
-        """Bring a freshly (re)spawned worker current and ask it to match.
-
-        Columnar mode: ship the attach spec (the worker scans the shared
-        liveness snapshot) plus a cursor-only match request. Delta mode:
-        replay the cumulative wire-delta log. Either way the messages are
-        pickled exactly once and their sizes feed the IPC byte metrics.
-        """
-        if self._shared:
-            wm: ColumnarWorkingMemory = self.wm  # type: ignore[assignment]
-            spec_blob = pickle.dumps(
-                ("attach", wm.attach_spec()), protocol=pickle.HIGHEST_PROTOCOL
-            )
-            match_blob = pickle.dumps(
-                ("match-shm", wm.refresh_info()),
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-            if not self._try_send_bytes(site, spec_blob):
-                return False
-            self._attached.add(site)
-            ok = self._try_send_bytes(site, match_blob)
-            sent_bytes = len(spec_blob) + (len(match_blob) if ok else 0)
-        else:
-            blob = pickle.dumps(
-                ("match", list(self._log)), protocol=pickle.HIGHEST_PROTOCOL
-            )
-            ok = self._try_send_bytes(site, blob)
-            sent_bytes = len(blob) if ok else 0
-        if sent_bytes:
-            self.obs.request(site, sent_bytes)
-        return ok
 
     def _inject_faults(self) -> None:
         """Apply this cycle's scheduled worker kills/wedges (real signals)."""
@@ -808,19 +785,17 @@ class ProcessMatchPool:
     def conflict_set(self) -> List[Instantiation]:
         """Full conflict set, deterministic order (site 0's rules first).
 
-        Delta mode ships the WM delta since the last call to every live
-        worker; columnar mode ships only journal cursors (workers read the
-        shared columns directly). Per-site results merge in site order.
-        Crashed or unresponsive workers are respawned and caught up
-        transparently; sites past their respawn budget are matched
-        in-parent.
+        Every live worker gets this cycle's request (:meth:`_request`);
+        per-site results merge in site order. Crashed or unresponsive
+        workers are respawned and caught up transparently; demoted sites
+        are matched in-parent.
         """
         if self._closed:
             raise MatchError("ProcessMatchPool is closed")
         self._cycle += 1
         # Promotions first: a site whose cool-down elapsed gets its worker
         # back before this cycle's faults/dispatch, so the very cycle it
-        # re-joins is already served at the higher rung.
+        # re-joins is already served by the worker.
         for site in self._sup.begin_cycle(self._cycle):
             self._promote(site)
         if self._injector is not None:
@@ -833,7 +808,7 @@ class ProcessMatchPool:
             self._cycle % self.policy.heartbeat_every == 0
         ):
             for site in self.active_sites:
-                if site in self.degraded_sites:
+                if self._sup.demoted(site):
                     continue
                 if not self._probe(site):
                     self._record(
@@ -847,75 +822,18 @@ class ProcessMatchPool:
 
         # Fan the request out to every live worker before collecting any
         # reply, so sites match concurrently; then merge in deterministic
-        # order (degraded sites are matched serially in-parent). Both modes
-        # pickle each distinct message exactly once and ship the bytes, so
-        # the IPC byte metrics count precisely what crossed the pipes.
-        sent: Dict[int, bool] = {}
-        if self._shared:
-            # Columnar mode: the data already lives in shared memory. The
-            # per-cycle message is just journal/heap cursors plus any
-            # structural (re)mount specs — a few hundred bytes regardless
-            # of how many WMEs changed.
-            wm: ColumnarWorkingMemory = self.wm  # type: ignore[assignment]
-            match_blob = pickle.dumps(
-                ("match-shm", wm.cycle_info()), protocol=pickle.HIGHEST_PROTOCOL
-            )
-            spec_blob: Optional[bytes] = None
-            for site in self.active_sites:
-                if site in self.degraded_sites or site in unhealthy:
-                    sent[site] = False
-                    continue
-                site_bytes = 0
-                ok = True
-                if site not in self._attached:
-                    if spec_blob is None:
-                        spec_blob = pickle.dumps(
-                            ("attach", wm.attach_spec()),
-                            protocol=pickle.HIGHEST_PROTOCOL,
-                        )
-                    ok = self._try_send_bytes(site, spec_blob)
-                    if ok:
-                        self._attached.add(site)
-                        site_bytes += len(spec_blob)
-                if ok:
-                    ok = self._try_send_bytes(site, match_blob)
-                    if ok:
-                        site_bytes += len(match_blob)
-                sent[site] = ok
-                if ok:
-                    self.obs.request(site, site_bytes)
-        else:
-            delta = self._recorder.drain()
-            for wme in delta.adds:
-                self._wme_by_ts[wme.timestamp] = wme
-            for ts in delta.removes:
-                self._wme_by_ts.pop(ts, None)
-            payload: List[tuple] = []
-            if not delta.empty:
-                wire = delta.wire()
-                self._log.append(wire)
-                payload.append(wire)
-            blob = pickle.dumps(
-                ("match", payload), protocol=pickle.HIGHEST_PROTOCOL
-            )
-            for site in self.active_sites:
-                if site in self.degraded_sites or site in unhealthy:
-                    sent[site] = False
-                    continue
-                if site in self._needs_catchup:
-                    # Freshly promoted worker: replay the whole log (this
-                    # cycle's delta is already appended to it).
-                    self._needs_catchup.discard(site)
-                    sent[site] = self._catch_up_and_request(site)
-                    continue
-                ok = self._try_send_bytes(site, blob)
-                sent[site] = ok
-                if ok:
-                    self.obs.request(site, len(blob))
+        # order.
+        self._step_blob = _pickle(self._cycle_message())
+        self._catchup = None
+        sent = {
+            site: site not in unhealthy and self._request(site)
+            for site in self.active_sites
+            if not self._sup.demoted(site)
+        }
         merged: List[Instantiation] = []
         for site in self.active_sites:
-            if site in self.degraded_sites:
-                results = self._degraded_match(site)
+            if self._sup.demoted(site):
+                results = self._parent_match(site)
             else:
                 results = self._recv_checked(site) if sent[site] else None
                 if results is None:
@@ -946,11 +864,10 @@ class ProcessMatchPool:
         self._closed = True
         if self._recorder is not None:
             self._recorder.detach()
-        if self._shared:
-            try:
-                self.wm.remove_listener(self._ts_listener)
-            except ValueError:  # already removed (e.g. the WM was reset)
-                pass
+        try:
+            self.wm.remove_listener(self._ts_listener)
+        except ValueError:  # already removed (e.g. the WM was reset)
+            pass
         if self._parent_alpha is not None:
             self._parent_alpha.detach()
         for site in list(self._procs):

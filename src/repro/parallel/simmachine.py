@@ -36,7 +36,7 @@ from repro.core.engine import EngineConfig, ParulelEngine
 from repro.lang.ast import Program, Value
 from repro.parallel.costmodel import CostModel
 from repro.parallel.partition import Assignment, round_robin_assignment
-from repro.parallel.sites import SiteMatchers, run_cycle
+from repro.parallel.sites import SiteMatchers
 from repro.wm.memory import WorkingMemory
 from repro.wm.template import TemplateRegistry
 
@@ -164,7 +164,7 @@ class SimMachine:
         while True:
             if cycles >= max_cycles:
                 raise CycleLimitExceeded(f"simulated run exceeded {max_cycles} cycles")
-            report, fired_now = run_cycle(engine)
+            report = engine.step()
             if report is None:
                 break
             cycles += 1
@@ -181,7 +181,7 @@ class SimMachine:
 
             # ---- parallel fire, serial merge --------------------------------
             fire_ticks = [0.0] * self.n_sites
-            for rule, _timestamps in fired_now:
+            for rule, _timestamps in report.fired_keys:
                 fire_ticks[self.assignment.site_of[rule]] += cost.fire
             firings += report.fired
             merged = report.delta_removes + report.delta_makes

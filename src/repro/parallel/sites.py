@@ -3,32 +3,23 @@
 :class:`SiteMatchers` is the site-partitioned matcher that
 :class:`~repro.parallel.simmachine.SimMachine` and
 :class:`~repro.parallel.distributed.DistributedMachine` pass to the
-:class:`~repro.core.engine.ParulelEngine` they drive with :func:`run_cycle`,
-plus the bookkeeping both charge their costs from.
+:class:`~repro.core.engine.ParulelEngine` they step, plus the bookkeeping
+both charge their costs from.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from repro.core.engine import CycleReport, ParulelEngine
 from repro.lang.ast import Rule
-from repro.match.instantiation import InstKey, Instantiation
+from repro.match.instantiation import Instantiation
 from repro.match.interface import Matcher, create_matcher
 from repro.match.stats import MatchStats
 from repro.wm.memory import WorkingMemory
 from repro.wm.wme import WME
 
-__all__ = ["SiteMatchers", "run_cycle"]
-
-
-def run_cycle(engine: ParulelEngine) -> Tuple[Optional[CycleReport], List[InstKey]]:
-    """One ``engine.step()``: its report, and the keys the cycle fired in
-    firing order (their rules name the sites that fired them)."""
-    mark = len(engine._fired_log)
-    report = engine.step()
-    return report, engine._fired_log[mark:]
+__all__ = ["SiteMatchers"]
 
 
 class SiteMatchers:

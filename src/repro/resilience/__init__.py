@@ -8,8 +8,8 @@ Three legs (see ``docs/RESILIENCE.md``):
   between full snapshots; last-good fallback on corruption.
 - :mod:`repro.resilience.supervisor` — the policy side of worker
   supervision for the process match backend: heartbeats, seeded backoff,
-  per-site circuit breakers, and the process → threaded → serial
-  degradation ladder with cool-down re-promotion.
+  per-site circuit breakers, and demotion to in-parent matching with
+  cool-down re-promotion back to a worker.
 - :mod:`repro.resilience.janitor` — startup sweep reclaiming orphaned
   ``/dev/shm`` segments left by SIGKILLed columnar-store owners.
 
@@ -31,8 +31,6 @@ from repro.resilience.checkpoint import (
 )
 from repro.resilience.janitor import DEFAULT_SHM_DIR, JanitorReport, sweep_orphans
 from repro.resilience.supervisor import (
-    FULL_LADDER,
-    LADDER_RUNGS,
     SiteSupervisor,
     SupervisorDecision,
     SupervisorPolicy,
@@ -50,8 +48,6 @@ __all__ = [
     "DEFAULT_SHM_DIR",
     "JanitorReport",
     "sweep_orphans",
-    "FULL_LADDER",
-    "LADDER_RUNGS",
     "SiteSupervisor",
     "SupervisorDecision",
     "SupervisorPolicy",

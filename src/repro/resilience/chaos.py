@@ -10,14 +10,14 @@ This module turns that claim into a differential test:
    the byte-level artifact compared at the end).
 2. **Chaos run.** Execute the same workload on the process match backend
    under a seeded :class:`~repro.faults.FaultPlan` of real worker
-   ``SIGKILL``\\ s, a full three-rung
-   :class:`~repro.resilience.supervisor.SupervisorPolicy`, and a rotating
+   ``SIGKILL``\\ s, a :class:`~repro.resilience.supervisor.SupervisorPolicy`
+   with backoff, heartbeats, breaker and re-promotion, and a rotating
    :class:`~repro.resilience.checkpoint.CheckpointStore` written every
    cycle. At a seeded cycle the run "crashes" (it simply stops — a real
    crash executes no cleanup either). With the columnar backend, a seeded
    mid-run fault also unlinks one live ``/dev/shm`` segment, so respawned
-   workers cannot re-attach and the degradation ladder must absorb the
-   site (``degrade_on_worker_error``).
+   workers cannot re-attach and demotion to in-parent matching must
+   absorb the site (``degrade_on_worker_error``).
 3. **Corruption.** The newest checkpoint file is truncated at a seeded
    offset — the torn write a ``kill -9`` during checkpointing produces.
 4. **Recovery.** A fresh engine restores from the store (which must fall
@@ -64,7 +64,7 @@ from repro.obs.blackbox import load_blackbox
 from repro.programs import REGISTRY
 from repro.resilience.checkpoint import CheckpointStore, EngineCheckpointer
 from repro.resilience.janitor import sweep_orphans
-from repro.resilience.supervisor import FULL_LADDER, SupervisorPolicy
+from repro.resilience.supervisor import SupervisorPolicy
 from repro.wm.io import dumps as dump_wm_text
 
 __all__ = ["ChaosResult", "run_chaos", "kill_columnar_child", "main"]
@@ -169,7 +169,6 @@ def run_chaos(
         for _ in range(2)
     )
     policy = SupervisorPolicy(
-        ladder=FULL_LADDER,
         backoff_base=0.001,
         backoff_jitter=0.5,
         seed=seed,

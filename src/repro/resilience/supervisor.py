@@ -16,21 +16,19 @@ The pieces, per site:
   window of ``breaker_window`` cycles trips the breaker: the pool stops
   respawning and demotes the site immediately instead of burning the
   respawn budget on a flapping worker.
-- **Degradation ladder.** Demotion moves the site one rung down
-  ``ladder`` — ``process`` (its own worker) → ``threaded`` (matched
-  in-parent on a helper thread) → ``serial`` (matched in-parent inline).
-  Every rung computes byte-identical matches (the parent working memory
-  holds exactly the replica contents in timestamp order); the ladder
-  trades isolation for survival, never correctness.
+- **Demotion.** A site is either served by its own worker or demoted:
+  matched in-parent by the serial join engine. Both compute
+  byte-identical matches (the parent working memory holds exactly the
+  replica contents in timestamp order); demotion trades isolation for
+  survival, never correctness.
 - **Re-promotion.** After ``cooldown_cycles`` quiet cycles (doubling per
-  breaker trip, capped), a demoted site is promoted one rung back up; a
-  promotion back to ``process`` respawns a worker and the breaker closes
-  on its first healthy reply.
+  breaker trip, capped), a demoted site is promoted straight back to a
+  worker, which is respawned and caught up; the breaker closes on its
+  first healthy reply.
 
 The default policy reproduces the pool's historical behaviour exactly:
-no backoff, no heartbeats, no breaker, a two-rung ladder
-(``process`` → ``serial``) and no re-promotion — so engines that never
-pass a policy see byte- and event-identical runs.
+no backoff, no heartbeats, no breaker and no re-promotion — so engines
+that never pass a policy see byte- and event-identical runs.
 """
 
 from __future__ import annotations
@@ -38,21 +36,9 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence
 
-__all__ = [
-    "SupervisorPolicy",
-    "SiteSupervisor",
-    "SupervisorDecision",
-    "LADDER_RUNGS",
-    "FULL_LADDER",
-]
-
-#: Rung names a ladder may use, in strictly descending order of isolation.
-LADDER_RUNGS = ("process", "threaded", "serial")
-
-#: The three-rung ladder: worker process → in-parent thread → in-parent.
-FULL_LADDER = ("process", "threaded", "serial")
+__all__ = ["SupervisorPolicy", "SiteSupervisor", "SupervisorDecision"]
 
 #: A worker that cannot even come up is a deterministic failure no respawn
 #: will fix; after this many consecutive attempts within one cycle the
@@ -65,13 +51,10 @@ class SupervisorPolicy:
     """Tunable supervision knobs (see the module docstring).
 
     The zero-argument default is the legacy policy: respawn immediately,
-    degrade straight to in-parent serial when the budget runs out, never
+    demote to in-parent matching when the budget runs out, never
     re-promote.
     """
 
-    #: Degradation rungs, most to least isolated. Must start at
-    #: ``"process"`` and descend through :data:`LADDER_RUNGS` in order.
-    ladder: Tuple[str, ...] = ("process", "serial")
     #: First-failure respawn delay in seconds; each consecutive failure
     #: doubles it. ``0`` = respawn immediately (legacy).
     backoff_base: float = 0.0
@@ -94,29 +77,19 @@ class SupervisorPolicy:
     breaker_failures: Optional[int] = None
     #: Sliding failure-count window, in conflict-set cycles.
     breaker_window: int = 16
-    #: Quiet cycles before a demoted site is promoted one rung back up,
+    #: Quiet cycles before a demoted site is promoted back to a worker,
     #: doubling per breaker trip (capped at ``cooldown_cap``); ``0`` =
     #: demotion is permanent (legacy).
     cooldown_cycles: int = 0
     #: Ceiling on the per-trip cool-down growth.
     cooldown_cap: int = 256
     #: Treat a worker's ``("err", ...)`` reply as a site failure (demote
-    #: down the ladder) instead of raising ``MatchError``. Chaos runs set
+    #: the site) instead of raising ``MatchError``. Chaos runs set
     #: this: an unlinked shared segment makes every re-attach fail
     #: deterministically, and the parent can still match correctly.
     degrade_on_worker_error: bool = False
 
     def __post_init__(self) -> None:
-        if not self.ladder or self.ladder[0] != "process":
-            raise ValueError("ladder must start at 'process'")
-        if len(self.ladder) < 2:
-            raise ValueError("ladder needs at least one rung below 'process'")
-        order = [r for r in LADDER_RUNGS if r in self.ladder]
-        if tuple(order) != self.ladder or len(set(self.ladder)) != len(self.ladder):
-            raise ValueError(
-                f"ladder {self.ladder!r} must descend through {LADDER_RUNGS} "
-                f"without repeats"
-            )
         if self.backoff_base < 0 or self.backoff_cap <= 0 or self.backoff_jitter < 0:
             raise ValueError("backoff_base/backoff_cap/backoff_jitter must be >= 0 (cap > 0)")
         if self.heartbeat_every < 0:
@@ -150,7 +123,7 @@ class SiteSupervisor:
     def __init__(self, policy: SupervisorPolicy, sites: Sequence[int]) -> None:
         self.policy = policy
         self._rng = random.Random(policy.seed)
-        self._rung: Dict[int, int] = {s: 0 for s in sites}
+        self._demoted: Dict[int, bool] = {s: False for s in sites}
         self._consecutive: Dict[int, int] = {s: 0 for s in sites}
         self._fail_cycles: Dict[int, Deque[int]] = {s: deque() for s in sites}
         self._trips: Dict[int, int] = {s: 0 for s in sites}
@@ -160,12 +133,9 @@ class SiteSupervisor:
 
     # -- queries -------------------------------------------------------------
 
-    def rung(self, site: int) -> int:
-        return self._rung[site]
-
-    def mode(self, site: int) -> str:
-        """Current rung name for the site (``process`` when healthy)."""
-        return self.policy.ladder[self._rung[site]]
+    def demoted(self, site: int) -> bool:
+        """Whether the site is matched in-parent rather than by its worker."""
+        return self._demoted[site]
 
     def breaker_open(self, site: int) -> bool:
         return self._breaker_open[site]
@@ -174,13 +144,13 @@ class SiteSupervisor:
 
     def begin_cycle(self, cycle: int) -> List[int]:
         """Advance the supervisor clock; return the demoted sites whose
-        cool-down has elapsed, due for promotion one rung up."""
+        cool-down has elapsed, due for promotion back to a worker."""
         self._cycle = cycle
         if not self.policy.cooldown_cycles:
             return []
         due = []
         for site, at in self._next_promote.items():
-            if at is not None and cycle >= at and self._rung[site] > 0:
+            if at is not None and cycle >= at and self._demoted[site]:
                 due.append(site)
         return due
 
@@ -236,10 +206,10 @@ class SiteSupervisor:
 
     def on_success(self, site: int) -> bool:
         """Record a healthy reply. Returns ``True`` exactly when this
-        closes the site's circuit breaker (back at the ``process`` rung
-        after a trip) so the pool can emit ``breaker-close``."""
+        closes the site's circuit breaker (back on its worker after a
+        trip) so the pool can emit ``breaker-close``."""
         self._consecutive[site] = 0
-        if self._rung[site] == 0 and self._breaker_open[site]:
+        if not self._demoted[site] and self._breaker_open[site]:
             self._breaker_open[site] = False
             self._trips[site] = 0
             self._fail_cycles[site].clear()
@@ -247,29 +217,21 @@ class SiteSupervisor:
             return True
         return False
 
-    # -- ladder transitions ----------------------------------------------------
+    # -- transitions -----------------------------------------------------------
 
-    def note_demotion(self, site: int) -> str:
-        """Move the site one rung down (clamped to the ladder's bottom);
-        schedule re-promotion after the (trip-doubled) cool-down. Returns
-        the new rung name."""
-        policy = self.policy
-        self._rung[site] = min(self._rung[site] + 1, len(policy.ladder) - 1)
+    def note_demotion(self, site: int) -> None:
+        """Demote the site and schedule its re-promotion after the
+        (trip-doubled) cool-down."""
+        self._demoted[site] = True
         self._consecutive[site] = 0
         self._breaker_open[site] = True
         self._trips[site] += 1
         self._schedule_promotion(site)
-        return policy.ladder[self._rung[site]]
 
-    def note_promotion(self, site: int) -> str:
-        """Move the site one rung up; schedule the next climb if it is
-        still below ``process``. Returns the new rung name."""
-        self._rung[site] = max(0, self._rung[site] - 1)
-        if self._rung[site] > 0:
-            self._schedule_promotion(site)
-        else:
-            self._next_promote[site] = None
-        return self.policy.ladder[self._rung[site]]
+    def note_promotion(self, site: int) -> None:
+        """Put the site back on its worker."""
+        self._demoted[site] = False
+        self._next_promote[site] = None
 
     def cancel_promotion(self, site: int) -> None:
         """Stop trying to promote the site (e.g. respawn budget gone)."""

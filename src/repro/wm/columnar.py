@@ -561,16 +561,6 @@ class ColumnarWorkingMemory(WorkingMemory):
             dirty,
         )
 
-    def refresh_info(self) -> Tuple:
-        """Like :meth:`cycle_info` but without draining structural changes —
-        for catching up a worker that just attached via a full
-        :meth:`attach_spec` (the spec already carries all structure)."""
-        return (
-            (self._journal_gen, self._journal_len),
-            (self._heap_gen, self._heap_used),
-            (),
-        )
-
     @property
     def journal_len(self) -> int:
         return self._journal_len
@@ -709,8 +699,8 @@ class _ReaderTable:
 class ColumnarReader:
     """A worker's attachment to a :class:`ColumnarWorkingMemory`.
 
-    ``attach()`` scans the liveness columns and materializes every live WME
-    (per class, in row = timestamp order — exactly the bucket order a
+    ``attach_bulk()`` scans the liveness columns and materializes every
+    live WME (per class, in row = timestamp order — exactly the bucket order a
     delta-built replica would have). ``refresh()`` advances over the shared
     journal to the cursors in the parent's cycle message. Both invoke the
     supplied callbacks so the caller can feed its replica store/alpha
@@ -838,32 +828,16 @@ class ColumnarReader:
 
     # -- protocol ------------------------------------------------------------
 
-    def attach(self, on_add: Callable[[WME], None]) -> int:
-        """Build the replica from the liveness snapshot; returns the number
-        of WMEs materialized. Skips dead rows entirely — cheaper than a
-        journal replay over a churned history."""
-        n = 0
-        resolve = self._resolve
-        for cspec in self._class_specs:
-            table = self._tables[cspec[0]]
-            rows = cspec[5]
-            live = table.live_col
-            for row in range(rows):
-                if live[row]:
-                    wme = table.materialize(resolve, row)
-                    table.wme_by_row[row] = wme
-                    on_add(wme)
-                    n += 1
-        return n
-
     def attach_bulk(
         self, on_class: Callable[[str, List[WME]], None]
     ) -> int:
-        """Like :meth:`attach`, but delivers each class's live WMEs as one
-        batch (row = timestamp order) — one callback per class instead of
-        one per WME, so the caller can route the batch through bulk loads
+        """Build the replica from the liveness snapshot, delivering each
+        class's live WMEs as one batch (row = timestamp order) so the
+        caller can route it through bulk loads
         (:meth:`~repro.wm.memory.WorkingMemory.bulk_load`,
-        :meth:`~repro.match.alphaindex.IndexedMemory.bulk_add`)."""
+        :meth:`~repro.match.alphaindex.IndexedMemory.bulk_add`). Skips dead
+        rows entirely — cheaper than a journal replay over a churned
+        history. Returns the number of WMEs materialized."""
         n = 0
         resolve = self._resolve
         for cspec in self._class_specs:

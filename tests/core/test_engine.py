@@ -208,6 +208,18 @@ class TestReportsAndOutput:
         assert result.mean_firing_set == 4.0
         assert result.firing_set_sizes == [4]
 
+    def test_fired_keys_in_firing_order(self):
+        src = """
+        (literalize f n)
+        (literalize g n)
+        (p w (f ^n <n>) --> (make g ^n <n>))
+        """
+        e = engine_for(src)
+        made = [e.make("f", n=i) for i in range(3)]
+        (report,) = e.run().reports
+        assert report.fired_keys == [("w", (m.timestamp,)) for m in made]
+        assert report.fired_keys == sorted(e.fired)
+
     def test_phase_times_accumulate(self):
         e = engine_for(COUNTER)
         e.make("count", value=0)

@@ -28,15 +28,6 @@ class TestPhaseTimerThreadSafety:
         expected = n_threads * per_thread * 0.001
         assert abs(timer.seconds["phase"] - expected) < expected * 1e-6
 
-    def test_phase_context_manager_still_works(self):
-        timer = PhaseTimer()
-        with timer.phase("match"):
-            pass
-        assert timer.entries["match"] == 1
-        assert timer.fraction("match") == 1.0
-        timer.reset()
-        assert not timer.seconds and not timer.entries
-
 
 class TestPercentile:
     def test_nearest_rank(self):

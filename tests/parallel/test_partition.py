@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import MatchError
+from repro.lang.ast import DisjunctionTest
 from repro.lang.parser import parse_program
 from repro.parallel.partition import (
     Assignment,
@@ -188,6 +189,44 @@ class TestCopyAndConstrain:
             self.TC, "extend", 1, "src", hash_partitions(domain, 3)
         )
         assert run(self.TC) == run(cc)
+
+
+class TestMetaRulesFollowTheCopies:
+    """A meta-rule that names the split rule (``^rule swap``) must redact
+    the copies too; left alone, sort-meta's overlapping swaps all fire and
+    interfere."""
+
+    @staticmethod
+    def run(machine, wl):
+        wl.setup(machine)
+        result = machine.run(max_cycles=100)
+        items = sorted(
+            (w.get("pos"), w.get("val")) for w in machine.wm.by_class("item")
+        )
+        return result.cycles, wl.failed_checks(machine.wm), items
+
+    @pytest.mark.parametrize("p", [2, 4, 8])
+    def test_sort_meta_split_matches_the_unsplit_run(self, p):
+        from repro.core import ParulelEngine
+        from repro.parallel import SimMachine
+        from repro.programs import REGISTRY
+
+        wl = REGISTRY["sort-meta"]()
+        _cycles, _failed, expected = self.run(ParulelEngine(wl.program), wl)
+        rule_name, ce_index, attr = wl.cc_hint
+        split = copy_and_constrain_program(
+            wl.program,
+            rule_name,
+            ce_index,
+            attr,
+            hash_partitions(list(wl.domains[("item", "pos")]), p),
+        )
+        copies = DisjunctionTest(tuple(f"swap@cc{i}" for i in range(p)))
+        for ce in split.meta_rules[0].conditions:
+            assert dict(ce.tests)["rule"] == copies
+        for machine in (SimMachine(split, p), ParulelEngine(split)):
+            wl = REGISTRY["sort-meta"]()
+            assert self.run(machine, wl) == (10, [], expected)
 
 
 class TestPartitionSatisfiability:

@@ -284,7 +284,7 @@ class TestByteAccounting:
                     )
                 ) + len(
                     pickle.dumps(
-                        ("match-shm", wm.refresh_info()),
+                        ("match-shm", wm.cycle_info()),
                         protocol=pickle.HIGHEST_PROTOCOL,
                     )
                 )

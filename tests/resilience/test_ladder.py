@@ -1,10 +1,10 @@
-"""Supervised degradation ladder on a real ProcessMatchPool.
+"""Supervised demotion and re-promotion on a real ProcessMatchPool.
 
 Acceptance criterion: under a *scripted* fault plan and a fixed policy,
-the ladder's behaviour is observable as an exact fault-event sequence —
-not just "some recovery happened". Every cycle's conflict set is also
-checked byte-identical against the serial rete matcher: the ladder trades
-isolation for survival, never correctness.
+the supervisor's behaviour is observable as an exact fault-event
+sequence — not just "some recovery happened". Every cycle's conflict set
+is also checked byte-identical against the serial rete matcher: demotion
+trades isolation for survival, never correctness.
 """
 
 import os
@@ -16,7 +16,7 @@ from repro.faults import FaultPlan, WorkerKill
 from repro.lang.parser import parse_program
 from repro.match.interface import create_matcher
 from repro.parallel.process import ProcessMatchPool
-from repro.resilience.supervisor import FULL_LADDER, SupervisorPolicy
+from repro.resilience.supervisor import SupervisorPolicy
 from repro.wm.memory import WorkingMemory
 
 pytestmark = pytest.mark.faults
@@ -49,10 +49,10 @@ class TestScriptedLadder:
     @pytest.mark.timeout(60)
     def test_exact_event_sequence_under_scripted_faults(self):
         """Two kills on site 1: the first respawns (after a recorded
-        backoff), the second trips the breaker and demotes to the
-        ``threaded`` rung; two quiet cycles later the cool-down elapses
-        and the site is promoted back, closing the breaker on its first
-        healthy reply."""
+        backoff), the second trips the breaker and demotes the site to
+        in-parent matching; two quiet cycles later the cool-down elapses
+        and the site is promoted back to a worker, closing the breaker on
+        its first healthy reply."""
         prog = parse_program(SRC)
         wm = WorkingMemory()
         load(wm)
@@ -60,7 +60,6 @@ class TestScriptedLadder:
             kills=(WorkerKill(cycle=1, site=1), WorkerKill(cycle=2, site=1))
         )
         policy = SupervisorPolicy(
-            ladder=FULL_LADDER,
             backoff_base=0.01,
             backoff_jitter=0.0,
             breaker_failures=2,
@@ -81,14 +80,14 @@ class TestScriptedLadder:
                 "respawn",
                 "kill",           # cycle 2: second failure in the window
                 "breaker-open",
-                "degrade",        # -> threaded rung
+                "degrade",        # -> matched in-parent
                 "promote",        # cycle 4: cool-down (2 cycles) elapsed
                 "breaker-close",  # first healthy reply at full isolation
             ]
             assert all(e.site == 1 for e in events)
             by_kind = {e.kind: e for e in events}
-            assert "threaded" not in by_kind["promote"].detail
-            assert "parent thread" in by_kind["degrade"].detail
+            assert "'process'" in by_kind["promote"].detail
+            assert "in-parent" in by_kind["degrade"].detail
             assert "circuit breaker" in by_kind["breaker-open"].detail
             # Two worker spawns were charged to the site: the cycle-1
             # respawn and the re-promotion.
@@ -98,21 +97,19 @@ class TestScriptedLadder:
     @pytest.mark.slow
     @pytest.mark.timeout(60)
     def test_wm_changes_during_degradation_stay_correct(self):
-        """The demoted rungs must track live WM changes (the in-parent
+        """A demoted site must track live WM changes (the in-parent
         matcher reads the parent store directly)."""
         prog = parse_program(SRC)
         wm = WorkingMemory()
         load(wm)
         plan = FaultPlan(kills=(WorkerKill(cycle=1, site=0),))
-        policy = SupervisorPolicy(
-            ladder=FULL_LADDER, breaker_failures=1, cooldown_cycles=3
-        )
+        policy = SupervisorPolicy(breaker_failures=1, cooldown_cycles=3)
         with ProcessMatchPool(
             prog.rules, wm, 2, fault_plan=plan, supervisor=policy
         ) as pool:
             assert keys(pool.conflict_set()) == rete_keys(prog, wm)
             assert pool.degraded_sites == {0}
-            wm.make("a0", k=0)  # new matches while threaded
+            wm.make("a0", k=0)  # new matches while demoted
             assert keys(pool.conflict_set()) == rete_keys(prog, wm)
             wm.make("b1", k=2)  # negative-condition churn
             assert keys(pool.conflict_set()) == rete_keys(prog, wm)

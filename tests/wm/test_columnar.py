@@ -157,7 +157,11 @@ class TestReader:
             del by_ts[w.timestamp]
             wm.remove(w)
 
-        return wm, on_add, on_remove
+        def on_class(_name, batch):
+            for w in batch:
+                on_add(w)
+
+        return wm, on_class, on_add, on_remove
 
     def test_attach_builds_identical_replica(self):
         col = ColumnarWorkingMemory(initial_capacity=2)
@@ -166,8 +170,8 @@ class TestReader:
                 col.make("alpha", k=i, m=f"s{i % 3}")
             col.remove(col.by_class("alpha")[3])
             reader = ColumnarReader(col.attach_spec())
-            rep, on_add, on_remove = self.replica(reader)
-            n = reader.attach(on_add)
+            rep, on_class, _on_add, _on_remove = self.replica(reader)
+            n = reader.attach_bulk(on_class)
             assert n == len(col)
             assert observables(rep) == observables(col)
             reader.close()
@@ -179,8 +183,8 @@ class TestReader:
         try:
             col.make("alpha", k=1)
             reader = ColumnarReader(col.attach_spec())
-            rep, on_add, on_remove = self.replica(reader)
-            reader.attach(on_add)
+            rep, on_class, on_add, on_remove = self.replica(reader)
+            reader.attach_bulk(on_class)
             for cycle in range(6):
                 # Each cycle: churn, force growth, add a brand-new class
                 # and a brand-new attribute mid-run.
@@ -201,8 +205,8 @@ class TestReader:
         try:
             col.make("alpha", k=1)
             reader = ColumnarReader(col.attach_spec())
-            rep, on_add, on_remove = self.replica(reader)
-            reader.attach(on_add)
+            rep, on_class, on_add, on_remove = self.replica(reader)
+            reader.attach_bulk(on_class)
             info = col.cycle_info()
             # Mutations after the cursor snapshot must not be applied.
             col.make("alpha", k=2)
@@ -264,25 +268,21 @@ class TestRawReader:
             for i in range(12):
                 col.make("alpha" if i % 2 else "beta", k=i)
             col.remove(col.by_class("alpha")[1])
-            r1 = ColumnarReader(col.attach_spec())
-            per_wme = []
-            n1 = r1.attach(lambda w: per_wme.append(w))
-            r2 = ColumnarReader(col.attach_spec())
+            reader = ColumnarReader(col.attach_spec())
             batches = []
-            n2 = r2.attach_bulk(lambda name, batch: batches.append((name, batch)))
-            assert n1 == n2 == len(col)
+            n = reader.attach_bulk(lambda name, batch: batches.append((name, batch)))
+            assert n == len(col)
             # One batch per non-empty class, rows in timestamp order, and
-            # the concatenation replays exactly the per-WME attach.
+            # the concatenation is exactly the store's live WMEs.
             assert {name for name, _b in batches} == {"alpha", "beta"}
             assert len(batches) == 2
             flat = [repr(w) for _n, b in batches for w in b]
-            assert sorted(flat) == sorted(repr(w) for w in per_wme)
+            assert sorted(flat) == sorted(repr(w) for w in col)
             for _name, batch in batches:
                 assert [w.timestamp for w in batch] == sorted(
                     w.timestamp for w in batch
                 )
-            r1.close()
-            r2.close()
+            reader.close()
         finally:
             col.close()
 
