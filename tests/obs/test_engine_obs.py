@@ -85,6 +85,13 @@ class TestEngineSpans:
             engine.phase_times
         )
 
+    def test_phase_times_is_a_live_view_of_the_timer(self):
+        engine, _result = run_tc()
+        assert engine.phase_times is engine.timer.seconds
+        before = engine.phase_times["collect"]
+        engine.timer.add("collect", 0.5)
+        assert engine.phase_times["collect"] == before + 0.5
+
     def test_run_span_closes_on_cycle_limit(self):
         from repro.errors import CycleLimitExceeded
 
